@@ -12,11 +12,15 @@ that keep ``d`` enabled — until either
   enabling-memory execution policy), or
 * τ elapses and ``d`` fires from wherever the subordinated process is.
 
-Both the absorption probabilities and the expected sojourn times come
-from one matrix exponential of the subordinated generator augmented with
-absorbing exit states (see :func:`repro.markov.uniformization.expm_and_integral`).
-States enabling ``d`` are grouped so the (expensive) matrix exponential
-is computed once per deterministic transition, not once per marking.
+The regeneration probabilities and expected sojourn times all come from
+one matrix exponential of the subordinated generator ``S`` over the
+markings enabling ``d`` (see
+:func:`repro.markov.uniformization.expm_and_integral`): ``e^{Sτ}`` gives
+where ``d`` fires from, ``∫_0^τ e^{Ss} ds`` the expected sojourn times,
+and that integral times the exit rates the probabilities of leaving the
+enabling set first.  States enabling ``d`` are grouped so the
+(expensive) matrix exponential is computed once per deterministic
+transition, not once per marking.
 
 Supported model class: at most one deterministic transition enabled per
 tangible marking, constant delays.  Everything else raises
@@ -138,53 +142,37 @@ def _fill_group_untraced(
         )
     delay = delays.pop()
 
-    member_set = set(members)
-    position = {state: i for i, state in enumerate(members)}
-    exits = sorted(
-        {
-            target
-            for state in members
-            for edge in graph.exponential_edges[state]
-            for target, _ in edge.targets
-            if target not in member_set
-        }
-    )
-    exit_position = {state: i for i, state in enumerate(exits)}
-    n_members, n_exits = len(members), len(exits)
-
-    # subordinated generator with absorbing exits
-    augmented = np.zeros((n_members + n_exits, n_members + n_exits))
-    for state in members:
-        row = position[state]
-        outflow = 0.0
+    # exponential rates and deterministic routing out of each member,
+    # both indexed by the global target marking
+    n_members = len(members)
+    rates = np.zeros((n_members, graph.n_states))
+    routing = np.zeros((n_members, graph.n_states))
+    for row, state in enumerate(members):
         for edge in graph.exponential_edges[state]:
             for target, probability in edge.targets:
-                rate = edge.rate * probability
-                outflow += rate
-                if target in member_set:
-                    augmented[row, position[target]] += rate
-                else:
-                    augmented[row, n_members + exit_position[target]] += rate
-        augmented[row, row] -= outflow
+                rates[row, target] += edge.rate * probability
+        for target, probability in det_edge_of[state].targets:  # type: ignore[union-attr]
+            routing[row, target] += probability
+    rows = np.asarray(members)
+    outside = np.ones(graph.n_states, dtype=bool)
+    outside[rows] = False
 
-    at_delay, integral = expm_and_integral(augmented, delay)
+    # subordinated generator over the members; exits stay outside it
+    subgenerator = rates[:, rows]
+    subgenerator[np.diag_indices(n_members)] -= rates.sum(axis=1)
+    at_delay, integral = expm_and_integral(subgenerator, delay)
 
-    for state in members:
-        row = position[state]
-        # expected time in each subordinated marking before min(τ, exit)
-        for other in members:
-            sojourn[state, other] += integral[row, position[other]]
-        # regeneration by leaving the enabling set before τ
-        for exit_state in exits:
-            probability = at_delay[row, n_members + exit_position[exit_state]]
-            if probability > _PROBABILITY_TOLERANCE:
-                kernel[state, exit_state] += probability
-        # regeneration by the deterministic firing at τ
-        for other in members:
-            probability = at_delay[row, position[other]]
-            if probability <= _PROBABILITY_TOLERANCE:
-                continue
-            det_edge = det_edge_of[other]
-            assert det_edge is not None  # group membership guarantees it
-            for target, target_probability in det_edge.targets:
-                kernel[state, target] += probability * target_probability
+    # expected time in each subordinated marking before min(τ, exit)
+    sojourn[np.ix_(rows, rows)] += integral
+    # regeneration by leaving the enabling set before τ: the exit block
+    # of exp([[S, X], [0, 0]] τ) is (∫_0^τ e^{Ss} ds) · X
+    exits = np.flatnonzero(outside & rates.any(axis=0))
+    if exits.size:
+        leaving = integral @ rates[:, exits]
+        kernel[np.ix_(rows, exits)] += np.where(
+            leaving > _PROBABILITY_TOLERANCE, leaving, 0.0
+        )
+    # regeneration by the deterministic firing at τ
+    fired = np.where(at_delay > _PROBABILITY_TOLERANCE, at_delay, 0.0)
+    targets = np.flatnonzero(routing.any(axis=0))
+    kernel[np.ix_(rows, targets)] += fired @ routing[:, targets]

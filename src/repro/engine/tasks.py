@@ -31,7 +31,7 @@ def _build_net(parameters: PerceptionParameters, options: dict | None = None):
 
 
 def _cached_reward(
-    net, reliability, *, max_states: int = 200_000
+    net, reliability, *, max_states: int = 200_000, method: str = "auto"
 ) -> tuple["str | None", "float | None"]:
     """Look up the derived-value tier: (cache key, hit) — both optional.
 
@@ -45,7 +45,9 @@ def _cached_reward(
     fingerprint = reliability_fingerprint(reliability)
     if fingerprint is None:
         return None, None
-    key = reward_cache_key(net, reliability_fp=fingerprint, max_states=max_states)
+    key = reward_cache_key(
+        net, reliability_fp=fingerprint, max_states=max_states, method=method
+    )
     hit = cache.get(key)
     return key, (None if hit is None else float(hit))
 
@@ -62,8 +64,15 @@ def expected_reliability(
     convention: OutputConvention = OutputConvention.SAFE_SKIP,
     reliability: ReliabilityFunction | None = None,
     max_states: int = 200_000,
+    method: str = "auto",
 ) -> float:
-    """E[R_sys] of one configuration (the Eq. 1 pipeline)."""
+    """E[R_sys] of one configuration (the Eq. 1 pipeline).
+
+    ``method`` selects the solver route (see
+    :func:`repro.dspn.solve_steady_state`) and is part of the reward
+    cache key, so a value forced through one route is never served for
+    a request naming another.
+    """
     resolved = (
         reliability
         if reliability is not None
@@ -75,7 +84,7 @@ def expected_reliability(
         rejuvenation=parameters.rejuvenation,
     ) as sp:
         key, hit = _cached_reward(
-            _build_net(parameters), resolved, max_states=max_states
+            _build_net(parameters), resolved, max_states=max_states, method=method
         )
         if hit is not None:
             # a measure, not an attr: per-process cache state differs
@@ -87,6 +96,7 @@ def expected_reliability(
             parameters,
             reliability=resolved,
             max_states=max_states,
+            method=method,
         ).expected_reliability
         _store_reward(key, value)
         return value

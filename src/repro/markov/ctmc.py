@@ -122,8 +122,8 @@ class CTMC:
     ) -> float:
         """Expected reward accumulated over ``[0, time]``.
 
-        Computes ``initial @ (∫_0^t e^{Qs} ds) @ r`` exactly via the
-        augmented matrix exponential.  For a 0/1 reward this is the
+        Computes ``initial @ (∫_0^t e^{Qs} ds) @ r`` with the integral
+        from :func:`~repro.markov.uniformization.expm_and_integral`.  For a 0/1 reward this is the
         expected total time spent in the rewarded states (interval
         availability times ``t``).
         """

@@ -193,8 +193,14 @@ class GeneralizedReliability:
 
         R = 0                        if i + j < threshold (no decision)
         R = 1 - P(wrong >= threshold) otherwise
+          = Σ_h P(h healthy wrong) · P(compromised wrong < threshold - h)
 
-    and under ``STRICT_CORRECT``::
+    evaluated from the success terms on the second line rather than as
+    ``1 - P(error)``, so a state whose error probability is within
+    rounding of 1 reads a small nonnegative value instead of a cancelled
+    ``1 - (1 ± ε)``, and R is non-increasing in ``p`` bit for bit;
+
+    under ``STRICT_CORRECT``::
 
         R = P(correct >= threshold)   with correct = (i+j) - wrong.
     """
@@ -229,16 +235,30 @@ class GeneralizedReliability:
         compromised_model = CompromisedBinomialModel(self.p_prime)
 
         if self.convention is OutputConvention.SAFE_SKIP:
-            error_probability = 0.0
-            for healthy_wrong in range(healthy + 1):
-                ph = healthy_model.probability_exactly(healthy_wrong, healthy)
-                if ph == 0.0:
-                    continue
-                needed = max(0, self.threshold - healthy_wrong)
-                error_probability += ph * compromised_model.probability_at_least(
-                    needed, compromised
+
+            def wrong_between(low: int, high: int) -> float:
+                """P(low <= compromised modules that err < high)."""
+                return sum(
+                    compromised_model.probability_exactly(wrong, compromised)
+                    for wrong in range(max(0, low), min(compromised + 1, high))
                 )
-            return 1.0 - error_probability
+
+            # P(compromised wrong < threshold) from its smaller tail, so it
+            # is accurate both near 0 and near 1
+            below = wrong_between(0, self.threshold)
+            above = wrong_between(self.threshold, compromised + 1)
+            success = below if below <= above else 1.0 - above
+            # Σ_h P(h) · P(compromised wrong < threshold - h), rewritten with
+            # Σ_h P(h) = 1 as P(wrong < threshold) minus nonnegative losses.
+            # The losses grow with p, so R is non-increasing in p bit for
+            # bit; they sum to at most p times the first term, and the
+            # clamp only absorbs rounding as p -> 1.
+            lost = sum(
+                healthy_model.probability_exactly(healthy_wrong, healthy)
+                * wrong_between(self.threshold - healthy_wrong, self.threshold)
+                for healthy_wrong in range(1, healthy + 1)
+            )
+            return max(0.0, success - lost)
 
         # STRICT_CORRECT: at least `threshold` of the operational modules
         # must answer correctly.

@@ -109,6 +109,7 @@ def evaluate(
     reliability: ReliabilityFunction | None = None,
     convention: OutputConvention = OutputConvention.SAFE_SKIP,
     max_states: int = 200_000,
+    method: str = "auto",
 ) -> EvaluationResult:
     """Compute E[R_sys] for ``parameters`` (Eq. 1).
 
@@ -124,6 +125,9 @@ def evaluate(
         function (ignored if ``reliability`` is given).
     max_states:
         Bound on the DSPN state space.
+    method:
+        Solver route, passed to :func:`repro.dspn.solve_steady_state`
+        (``"auto"``, ``"ctmc"``, ``"mrgp"`` or ``"sparse"``).
     """
     if reliability is None:
         reliability = default_reliability_function(parameters, convention=convention)
@@ -133,7 +137,7 @@ def evaluate(
         if parameters.rejuvenation
         else build_no_rejuvenation_net(parameters)
     )
-    solution = solve_steady_state(net, max_states=max_states)
+    solution = solve_steady_state(net, max_states=max_states, method=method)
 
     state_probabilities: dict[ModuleCounts, float] = {}
     state_reliability: dict[ModuleCounts, float] = {}

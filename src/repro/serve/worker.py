@@ -223,7 +223,9 @@ def solve_worker(spec: dict[str, Any]) -> dict[str, Any]:
 
     parameters, max_states, method = resolve_spec(spec)
     net = build_net(parameters)
-    value = expected_reliability(parameters, max_states=max_states)
+    value = expected_reliability(
+        parameters, max_states=max_states, method=method
+    )
     return {
         "expected_reliability": value,
         "fingerprint": net_fingerprint(net),

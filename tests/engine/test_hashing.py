@@ -146,6 +146,17 @@ class TestCacheKeys:
             net, reliability_fp=fp_a, max_states=100
         ) != reward_cache_key(net, reliability_fp=fp_b, max_states=100)
 
+    def test_reward_key_separates_solver_methods(self):
+        net = _cycle_net()
+        fp = reliability_fingerprint(
+            GeneralizedReliability(n_modules=6, threshold=4, p=0.1, p_prime=0.5, alpha=0.9)
+        )
+        keys = {
+            reward_cache_key(net, reliability_fp=fp, max_states=100, method=method)
+            for method in ("auto", "ctmc", "mrgp", "sparse")
+        }
+        assert len(keys) == 4
+
     def test_reward_and_solver_keys_never_alias(self):
         net = _cycle_net()
         fp = reliability_fingerprint(

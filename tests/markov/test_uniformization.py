@@ -1,7 +1,9 @@
 """Tests for uniformization and matrix-exponential integrals."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.linalg import expm
 
 from repro.errors import SolverError
@@ -70,3 +72,96 @@ class TestExpmAndIntegral:
     def test_negative_time_rejected(self):
         with pytest.raises(SolverError):
             expm_and_integral(GENERATOR, -0.5)
+
+
+def van_loan_reference(matrix: np.ndarray, time: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(e^{At}, ∫_0^t e^{As} ds)`` from scipy on the Van Loan block matrix.
+
+    Uses the unit-time form ``expm([[A t, I], [0, 0]]) = [[e^{At},
+    ∫_0^1 e^{Asτ} dτ], [0, I]]`` and scales the integral by ``t``.  The
+    form ``[[A, I], [0, 0]] · t`` is equivalent in exact arithmetic, but
+    its identity block has norm ``t``: for ``‖A‖ ≪ 1`` scipy then picks
+    its scaling from ``t`` instead of ``‖A t‖`` and loses up to ~1e-9
+    relative accuracy at ``t‖A‖ ≈ 1e4``.
+    """
+    n = matrix.shape[0]
+    augmented = np.zeros((2 * n, 2 * n))
+    augmented[:n, :n] = matrix * time
+    augmented[:n, n:] = np.eye(n)
+    full = expm(augmented)
+    return full[:n, :n], time * full[:n, n:]
+
+
+def _norm(matrix: np.ndarray) -> float:
+    return float(np.abs(matrix).sum(axis=0).max())
+
+
+@st.composite
+def generators_and_times(draw, max_states=8):
+    """A generator or sub-generator ``A`` and a time with t·‖A‖₁ in [1e-3, 1e4]."""
+    n = draw(st.integers(1, max_states))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    density = draw(st.floats(0.1, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    matrix = rng.exponential(scale, size=(n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(matrix, 0.0)
+    outflow = matrix.sum(axis=1)
+    if draw(st.booleans()):  # sub-generator: some mass leaves to absorbing exits
+        outflow = outflow + rng.exponential(scale, size=n) * (rng.random(n) < 0.5)
+    matrix[np.diag_indices(n)] = -outflow
+    norm = _norm(matrix)
+    if norm == 0.0:
+        matrix[0, 0] = -scale
+        norm = scale
+    time = 10.0 ** draw(st.floats(-3.0, 4.0)) / norm
+    return matrix, time
+
+
+class TestExpmAndIntegralAgainstVanLoan:
+    @given(generators_and_times())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_reference(self, case):
+        matrix, time = case
+        exponential, integral = expm_and_integral(matrix, time)
+        reference_exponential, reference_integral = van_loan_reference(matrix, time)
+        # e^{At} of a (sub-)generator is substochastic: its natural scale is 1
+        assert _norm(exponential - reference_exponential) <= 1e-10 * max(
+            1.0, _norm(reference_exponential)
+        )
+        assert _norm(integral - reference_integral) <= 1e-10 * _norm(
+            reference_integral
+        )
+
+    def test_one_by_one_is_scalar_formula(self):
+        rate, time = 0.37, 5.0
+        exponential, integral = expm_and_integral(np.array([[-rate]]), time)
+        assert exponential[0, 0] == pytest.approx(
+            np.exp(-rate * time), rel=1e-15, abs=0.0
+        )
+        assert integral[0, 0] == pytest.approx(
+            -np.expm1(-rate * time) / rate, rel=1e-15, abs=0.0
+        )
+
+    def test_zero_matrix_integrates_to_time(self):
+        exponential, integral = expm_and_integral(np.zeros((3, 3)), 7.5)
+        np.testing.assert_array_equal(exponential, np.eye(3))
+        np.testing.assert_array_equal(integral, 7.5 * np.eye(3))
+
+    def test_zero_time_is_exact(self):
+        exponential, integral = expm_and_integral(GENERATOR, 0.0)
+        np.testing.assert_array_equal(exponential, np.eye(2))
+        np.testing.assert_array_equal(integral, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("time", [-1e-300, -0.5, float("nan")])
+    def test_negative_or_nan_time_rejected(self, time):
+        with pytest.raises(SolverError, match="time"):
+            expm_and_integral(GENERATOR, time)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(SolverError, match="square"):
+            expm_and_integral(np.zeros((2, 3)), 1.0)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(SolverError, match="non-finite"):
+            expm_and_integral(np.array([[-np.inf]]), 1.0)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ParameterError
 from repro.nversion.conventions import OutputConvention
+from repro.nversion.failure_models import CompromisedBinomialModel, EgeDependentModel
 from repro.nversion.reliability import (
     GeneralizedReliability,
     PaperFourVersionReliability,
@@ -167,6 +168,72 @@ class TestGeneralized:
         )
         assert r(2, 1, 3) == 0.0  # only 3 operational, below threshold
         assert 0.0 < r(4, 2, 0) <= 1.0
+
+
+def _one_minus_error(r: GeneralizedReliability, healthy: int, compromised: int) -> float:
+    """The safe-skip value as ``1 - P(wrong >= threshold)`` (reference)."""
+    if healthy + compromised < r.threshold:
+        return 0.0
+    healthy_model = EgeDependentModel(r.p, r.alpha, paper_combinatorics=False)
+    compromised_model = CompromisedBinomialModel(r.p_prime)
+    error = sum(
+        healthy_model.probability_exactly(wrong, healthy)
+        * compromised_model.probability_at_least(
+            max(0, r.threshold - wrong), compromised
+        )
+        for wrong in range(healthy + 1)
+    )
+    return 1.0 - error
+
+
+class TestGeneralizedSafeSkipRounding:
+    """N=64, f=1: states whose error probability is within rounding of 1."""
+
+    N = 64
+    P_GRID = np.linspace(0.0, 1.0, 21)
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        states = [
+            (i, j) for i in range(self.N + 1) for j in range(self.N + 1 - i)
+        ]
+        functions = [
+            GeneralizedReliability(
+                n_modules=self.N, threshold=3, p=float(p), p_prime=0.55, alpha=0.45
+            )
+            for p in self.P_GRID
+        ]
+        return states, functions, np.array(
+            [[r(i, j, self.N - i - j) for i, j in states] for r in functions]
+        )
+
+    def test_every_state_value_is_a_probability(self, values):
+        _, _, table = values
+        assert table.min() >= 0.0
+        assert table.max() <= 1.0
+
+    def test_agrees_with_one_minus_error_probability(self, values):
+        """Equal to ``1 - P(error)`` up to rounding and the Ege normalization.
+
+        The new evaluation uses Σ_h P(h) = 1, the old one does not; in
+        floating point the Ege probabilities for α = 0.45 sum to 1 only
+        within ~4e-15·p at N=64 (``1 - α`` is rounded, then raised to
+        powers up to 63), so the two may differ by that much beyond the
+        1e-15 rounding bar.
+        """
+        states, functions, table = values
+        for r, row in zip(functions, table):
+            healthy_model = EgeDependentModel(r.p, r.alpha, paper_combinatorics=False)
+            for (i, j), value in zip(states, row):
+                normalization = abs(
+                    sum(healthy_model.probability_exactly(m, i) for m in range(i + 1))
+                    - 1.0
+                )
+                assert abs(value - _one_minus_error(r, i, j)) <= 1e-15 + normalization
+
+    def test_non_increasing_in_p(self, values):
+        _, _, table = values
+        assert np.all(np.diff(table, axis=0) <= 0.0)
 
 
 class TestReliabilityMatrix:
