@@ -44,10 +44,10 @@ def _add_parameter_arguments(parser: argparse.ArgumentParser) -> None:
         help="the paper's 6-version configuration (with rejuvenation)",
     )
     parser.add_argument("--versions", type=int, help="number of ML module versions")
-    parser.add_argument("--f", type=int, default=1, help="tolerated compromised modules")
-    parser.add_argument("--r", type=int, default=1, help="simultaneous rejuvenations")
+    parser.add_argument("--f", type=int, help="tolerated compromised modules (default 1)")
+    parser.add_argument("--r", type=int, help="simultaneous rejuvenations (default 1)")
     parser.add_argument(
-        "--rejuvenation", action="store_true",
+        "--rejuvenation", action="store_const", const=True,
         help="enable the rejuvenation clock (implies 2f+r+1 voting)",
     )
     parser.add_argument("--p", type=float, help="healthy-module inaccuracy")
@@ -98,36 +98,21 @@ def _events_scope(args: argparse.Namespace):
 
 
 def _parameters_from(args: argparse.Namespace) -> PerceptionParameters:
-    overrides = {}
-    for attribute, name in (
-        ("p", "p"),
-        ("p_prime", "p_prime"),
-        ("alpha", "alpha"),
-        ("mttc", "mttc"),
-        ("mttf", "mttf"),
-        ("mttr", "mttr"),
-        ("interval", "rejuvenation_interval"),
-        ("rejuvenation_time", "rejuvenation_time_per_module"),
-    ):
-        value = getattr(args, attribute, None)
-        if value is not None:
-            overrides[name] = value
+    """The configuration the given flags name (a flag it would ignore is an error)."""
+    from repro.serve.worker import PARAMETER_KEYS, resolve_spec
 
-    if args.four:
-        return PerceptionParameters.four_version_defaults(**overrides)
-    if args.six:
-        return PerceptionParameters.six_version_defaults(**overrides)
-    if args.versions is None:
+    spec: dict = {}
+    if args.four or args.six:
+        spec["preset"] = "four" if args.four else "six"
+    elif args.versions is None:
         raise SystemExit(
             "choose a configuration: --four, --six, or --versions N [...]"
         )
-    return PerceptionParameters(
-        n_modules=args.versions,
-        f=args.f,
-        r=args.r,
-        rejuvenation=args.rejuvenation,
-        **overrides,
-    )
+    for key in ("versions", "f", "r", "rejuvenation", *PARAMETER_KEYS):
+        value = getattr(args, key)
+        if value is not None:
+            spec[key] = value
+    return resolve_spec(spec)[0]
 
 
 def _command_analyze(args: argparse.Namespace) -> int:

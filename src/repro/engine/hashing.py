@@ -174,18 +174,18 @@ def reliability_fingerprint(reliability: object) -> str | None:
 
 
 def reward_cache_key(
-    net: PetriNet, *, reliability_fp: str, max_states: int, method: str = "auto"
+    fingerprint: str, *, reliability_fp: str, max_states: int, method: str = "auto"
 ) -> str:
     """Content-addressed key for one expected-reward scalar.
 
-    The derived-value tier of the cache: E[R_sys] for (net, reliability
-    function, solver bound, solver route).  ``method`` is keyed for the
-    same reason as in :func:`solver_cache_key`: it selects the route, and
-    a forced route can refuse a net ``auto`` solves.  Keys are disjoint
-    from solver keys by the leading tag.
+    The derived-value tier of the cache: E[R_sys] for (net fingerprint,
+    reliability function, solver bound, solver route).  ``method`` is
+    keyed for the same reason as in :func:`solver_cache_key`: it selects
+    the route, and a forced route can refuse a net ``auto`` solves.  Keys
+    are disjoint from solver keys by the leading tag.
     """
     base = (
-        f"reward|{net_fingerprint(net)}|{reliability_fp}"
+        f"reward|{fingerprint}|{reliability_fp}"
         f"|max_states={max_states}|method={method}"
     )
     return hashlib.sha256(base.encode()).hexdigest()

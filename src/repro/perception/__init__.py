@@ -11,8 +11,8 @@ This package ties together the substrates:
 * :func:`~repro.perception.fleet.build_fleet_net` — the fleet-scale
   perception × rejuvenation-clock × maintenance product net (large-N
   workloads for the sparse solver route);
-* :func:`~repro.perception.evaluation.evaluate` — the Eq. 1 pipeline
-  (steady-state probabilities x reliability rewards);
+* :class:`~repro.perception.evaluation.Evaluation` and its one-call form
+  :func:`~repro.perception.evaluation.evaluate` — the Eq. 1 pipeline;
 * :class:`~repro.perception.architecture.PerceptionSystem` — a façade
   bundling model construction, analytic evaluation, simulation and
   transient analysis.
@@ -28,7 +28,7 @@ Quickstart::
 """
 
 from repro.perception.architecture import PerceptionSystem
-from repro.perception.evaluation import EvaluationResult, evaluate
+from repro.perception.evaluation import Evaluation, EvaluationResult, build_net, evaluate
 from repro.perception.metrics import (
     exact_rate_elasticities,
     expected_misperceptions,
@@ -42,12 +42,14 @@ from repro.perception.rejuvenation import build_rejuvenation_net
 from repro.perception.statemap import ModuleCounts, module_counts
 
 __all__ = [
+    "Evaluation",
     "EvaluationResult",
     "FleetParameters",
     "ModuleCounts",
     "PerceptionParameters",
     "PerceptionSystem",
     "build_fleet_net",
+    "build_net",
     "build_no_rejuvenation_net",
     "build_rejuvenation_net",
     "evaluate",

@@ -19,13 +19,11 @@ from repro.dspn.transient import TransientResult, transient_rewards
 from repro.nversion.conventions import OutputConvention
 from repro.nversion.reliability import ReliabilityFunction
 from repro.perception.evaluation import (
+    Evaluation,
     EvaluationResult,
     default_reliability_function,
-    evaluate,
 )
-from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
-from repro.perception.rejuvenation import build_rejuvenation_net
 from repro.perception.statemap import module_counts
 from repro.petri.dot import to_dot
 from repro.petri.marking import Marking
@@ -58,32 +56,27 @@ class PerceptionSystem:
         self.reliability = reliability or default_reliability_function(
             parameters, convention=convention
         )
-        self._net: PetriNet | None = None
-        self._evaluation: EvaluationResult | None = None
+        self._evaluations: dict[int, Evaluation] = {}
+
+    def _evaluation(self, max_states: int = 200_000) -> Evaluation:
+        """The system's Eq. 1 request at ``max_states`` (one per bound)."""
+        if max_states not in self._evaluations:
+            self._evaluations[max_states] = Evaluation(
+                self.parameters, self.reliability, max_states=max_states
+            )
+        return self._evaluations[max_states]
 
     @property
     def net(self) -> PetriNet:
         """The underlying DSPN (built lazily, cached)."""
-        if self._net is None:
-            self._net = (
-                build_rejuvenation_net(self.parameters)
-                if self.parameters.rejuvenation
-                else build_no_rejuvenation_net(self.parameters)
-            )
-        return self._net
+        return self._evaluation().net
 
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
     def analyze(self, *, max_states: int = 200_000) -> EvaluationResult:
-        """Full analytic evaluation (cached)."""
-        if self._evaluation is None:
-            self._evaluation = evaluate(
-                self.parameters,
-                reliability=self.reliability,
-                max_states=max_states,
-            )
-        return self._evaluation
+        """Full analytic evaluation (cached per ``max_states``)."""
+        return self._evaluation(max_states).result
 
     def expected_reliability(self) -> float:
         """E[R_sys] (Eq. 1), the paper's headline metric."""

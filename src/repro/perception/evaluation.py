@@ -1,9 +1,9 @@
 """The Eq. 1 evaluation pipeline: E[R_sys] = Σ π_{i,j,k} · R_{i,j,k}.
 
-The pipeline solves the appropriate DSPN for its steady-state marking
-distribution, aggregates markings into the paper's (i, j, k) module
-states, and weighs each state's reliability function value by its
-probability.
+An :class:`Evaluation` request solves the configuration's DSPN (built
+by :func:`build_net`) for its steady-state marking distribution,
+aggregates markings into the paper's (i, j, k) module states, and
+weighs each state's reliability function value by its probability.
 
 By default the reliability function is chosen to match the paper:
 verbatim Appendix A for the (N=4, f=1, no-rejuvenation) instance,
@@ -14,10 +14,18 @@ the generalized enumeration for every other configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Any
 
 import numpy as np
 
 from repro.dspn import SteadyStateResult, solve_steady_state
+from repro.engine.cache import active_cache
+from repro.engine.hashing import (
+    net_fingerprint,
+    reliability_fingerprint,
+    reward_cache_key,
+)
 from repro.nversion.conventions import OutputConvention
 from repro.nversion.reliability import (
     GeneralizedReliability,
@@ -30,6 +38,7 @@ from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
 from repro.perception.rejuvenation import build_rejuvenation_net
 from repro.perception.statemap import ModuleCounts, module_counts
+from repro.petri.net import PetriNet
 
 
 def default_reliability_function(
@@ -103,6 +112,140 @@ class EvaluationResult:
         ]
 
 
+def build_net(parameters: PerceptionParameters, **options: Any) -> PetriNet:
+    """The Fig. 2 net for ``parameters``: the one builder dispatch.
+
+    ``parameters.rejuvenation`` selects Fig. 2(b)+(c) or Fig. 2(a);
+    ``options`` go to that builder (``server`` for both, and
+    ``selection``, ``clock`` and ``lost_ticks`` for the rejuvenating net).
+    """
+    if parameters.rejuvenation:
+        return build_rejuvenation_net(parameters, **options)
+    return build_no_rejuvenation_net(parameters, **options)
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """One Eq. 1 request: a configuration, its reward and its solver options.
+
+    :func:`evaluate`, the engine's sweep tasks, the HTTP workers and
+    :class:`PerceptionSystem` are calls onto this request.  It builds
+    its net once (:attr:`net`, via :func:`build_net` with
+    ``build_options``), fingerprints it once and derives one :attr:`key`
+    from :func:`repro.engine.hashing.reward_cache_key`: the engine's
+    reward-tier entry, the server's coalescing and result-cache slot,
+    and a served response's ``cache_key``.  ``reliability=None``
+    resolves to :func:`default_reliability_function`; ``method``,
+    ``max_states`` and ``verify`` go to
+    :func:`repro.dspn.solve_steady_state`, and a verified request never
+    reads the reward tier.  ``build_options`` may be given as a dict.
+    """
+
+    parameters: PerceptionParameters
+    reliability: ReliabilityFunction | None = None
+    method: str = "auto"
+    max_states: int = 200_000
+    verify: bool | float | None = None
+    build_options: tuple[tuple[str, Any], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.reliability is None:
+            object.__setattr__(
+                self, "reliability", default_reliability_function(self.parameters)
+            )
+        object.__setattr__(
+            self, "build_options", tuple(sorted(dict(self.build_options).items()))
+        )
+
+    @cached_property
+    def net(self) -> PetriNet:
+        """The DSPN this request solves (built on first use)."""
+        return build_net(self.parameters, **dict(self.build_options))
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The engine's canonical fingerprint of :attr:`net`."""
+        return net_fingerprint(self.net)
+
+    @cached_property
+    def key(self) -> str | None:
+        """The request's cache key; ``None`` for an ad-hoc reliability
+        callable, which has no canonical identity to key on."""
+        reliability_fp = reliability_fingerprint(self.reliability)
+        if reliability_fp is None:
+            return None
+        return reward_cache_key(
+            self.fingerprint,
+            reliability_fp=reliability_fp,
+            max_states=self.max_states,
+            method=self.method,
+        )
+
+    def solve(self) -> SteadyStateResult:
+        """The steady-state solution of :attr:`net` (solver-cached)."""
+        return solve_steady_state(
+            self.net,
+            max_states=self.max_states,
+            method=self.method,
+            verify=self.verify,
+        )
+
+    @cached_property
+    def result(self) -> EvaluationResult:
+        """The full Eq. 1 evaluation (computed on first use)."""
+        solution = self.solve()
+        state_probabilities: dict[ModuleCounts, float] = {}
+        state_reliability: dict[ModuleCounts, float] = {}
+        rewards = np.empty(len(solution.pi), dtype=float)
+        with span("dspn.rewards", markings=len(solution.pi)):
+            for index, (marking, probability) in enumerate(
+                zip(solution.markings, solution.pi)
+            ):
+                counts = module_counts(marking)
+                state_probabilities[counts] = state_probabilities.get(
+                    counts, 0.0
+                ) + float(probability)
+                if counts not in state_reliability:
+                    state_reliability[counts] = float(
+                        self.reliability(
+                            counts.healthy, counts.compromised, counts.unavailable
+                        )
+                    )
+                rewards[index] = state_reliability[counts]
+
+            # Same contraction as SteadyStateResult.expected_reward (Eq. 1),
+            # with each distinct (i, j, k) evaluated once instead of per marking.
+            expected = float(solution.pi @ rewards)
+        return EvaluationResult(
+            expected_reliability=expected,
+            state_probabilities=state_probabilities,
+            state_reliability=state_reliability,
+            solution=solution,
+        )
+
+    def expected_reliability(self) -> float:
+        """E[R_sys], read from and stored to the engine's reward tier."""
+        with span(
+            "engine.expected_reliability",
+            n_modules=self.parameters.n_modules,
+            rejuvenation=self.parameters.rejuvenation,
+        ) as sp:
+            cache = None if self.verify else active_cache()
+            key = None if cache is None else self.key
+            if key is not None:
+                hit = cache.get(key)
+                if hit is not None:
+                    # a measure, not an attr: per-process cache state
+                    # differs between execution modes
+                    sp.set(reward_cache="hit")
+                    return float(hit)
+            sp.set(reward_cache="off" if key is None else "miss")
+            value = self.result.expected_reliability
+            if key is not None:
+                cache.put(key, value)
+            return value
+
+
 def evaluate(
     parameters: PerceptionParameters,
     *,
@@ -111,57 +254,13 @@ def evaluate(
     max_states: int = 200_000,
     method: str = "auto",
 ) -> EvaluationResult:
-    """Compute E[R_sys] for ``parameters`` (Eq. 1).
+    """Compute E[R_sys] for ``parameters`` (Eq. 1): an :class:`Evaluation`.
 
-    Parameters
-    ----------
-    parameters:
-        System configuration (Table II).
-    reliability:
-        Custom reliability function; defaults to
-        :func:`default_reliability_function`.
-    convention:
-        Output convention used when deriving the default reliability
-        function (ignored if ``reliability`` is given).
-    max_states:
-        Bound on the DSPN state space.
-    method:
-        Solver route, passed to :func:`repro.dspn.solve_steady_state`
-        (``"auto"``, ``"ctmc"``, ``"mrgp"`` or ``"sparse"``).
+    ``convention`` selects the default reliability function and is
+    ignored if ``reliability`` is given.
     """
     if reliability is None:
         reliability = default_reliability_function(parameters, convention=convention)
-
-    net = (
-        build_rejuvenation_net(parameters)
-        if parameters.rejuvenation
-        else build_no_rejuvenation_net(parameters)
-    )
-    solution = solve_steady_state(net, max_states=max_states, method=method)
-
-    state_probabilities: dict[ModuleCounts, float] = {}
-    state_reliability: dict[ModuleCounts, float] = {}
-    rewards = np.empty(len(solution.pi), dtype=float)
-    with span("dspn.rewards", markings=len(solution.pi)):
-        for index, (marking, probability) in enumerate(
-            zip(solution.markings, solution.pi)
-        ):
-            counts = module_counts(marking)
-            state_probabilities[counts] = state_probabilities.get(
-                counts, 0.0
-            ) + float(probability)
-            if counts not in state_reliability:
-                state_reliability[counts] = float(
-                    reliability(counts.healthy, counts.compromised, counts.unavailable)
-                )
-            rewards[index] = state_reliability[counts]
-
-        # Same contraction as SteadyStateResult.expected_reward (Eq. 1),
-        # with each distinct (i, j, k) evaluated once instead of per marking.
-        expected = float(solution.pi @ rewards)
-    return EvaluationResult(
-        expected_reliability=expected,
-        state_probabilities=state_probabilities,
-        state_reliability=state_reliability,
-        solution=solution,
-    )
+    return Evaluation(
+        parameters, reliability, method=method, max_states=max_states
+    ).result

@@ -15,10 +15,10 @@ asyncio job server:
 
 Three mechanisms keep it standing under heavy traffic:
 
-* **request coalescing** — work is keyed by the engine's canonical net
-  fingerprint; N identical in-flight requests share one solve and all
-  receive the digest-verified result (``cache`` field: one ``miss``,
-  N-1 ``coalesced``, later arrivals ``hit``);
+* **request coalescing** — work is keyed by the spec's ``Evaluation``
+  key (:func:`fingerprint_spec`); N identical in-flight requests share
+  one solve and all receive the digest-verified result (``cache``
+  field: one ``miss``, N-1 ``coalesced``, later arrivals ``hit``);
 * **back-pressure** — solver work beyond ``queue_limit`` in-flight
   computations (and sweep jobs beyond ``max_jobs`` live jobs) answers
   ``503`` + ``Retry-After`` instead of queueing unboundedly, and
@@ -689,7 +689,7 @@ class ReliabilityService:
     def _identity(self, kind: str, spec: dict[str, Any]) -> tuple[str, str]:
         """``(fingerprint, coalescing key)`` of one request.
 
-        The fingerprint (and the solver-cache key it extends) is
+        The fingerprint (and the spec's ``Evaluation`` key) is
         memoized by the canonical spec JSON, so steady traffic pays a
         dictionary lookup, not a net build, per request.
         """

@@ -3,34 +3,37 @@
 The HTTP layer accepts small JSON *specs* naming a perception-system
 configuration (the same vocabulary as the CLI flags); this module turns
 a spec into :class:`~repro.perception.parameters.PerceptionParameters`
-(:func:`resolve_spec`), computes the engine's canonical net fingerprint
-for it (:func:`fingerprint_spec` — the key the coalescer and result
-cache share), and provides the module-level functions the service ships
-to its ``ProcessPoolExecutor`` (:func:`solve_worker`,
-:func:`verify_worker`).  Both reuse the existing engine machinery —
-:func:`repro.engine.tasks.expected_reliability` and
-:func:`repro.dspn.solve_steady_state` — so serving adds transport, not
-a second evaluation path, and worker-side results flow through the same
-solver/reward caches as CLI sweeps.
+(:func:`resolve_spec`), derives its identity (:func:`fingerprint_spec`
+— the key the coalescer and result cache share), and provides the
+module-level functions the service ships to its ``ProcessPoolExecutor``
+(:func:`solve_worker`, :func:`verify_worker`).  All of them are calls
+onto one :class:`~repro.perception.evaluation.Evaluation` request, so
+serving adds transport, not a second evaluation path, and worker-side
+results flow through the same solver/reward caches as CLI sweeps.
 
 Every result dict is plain data (JSON-able, picklable) and carries the
-net ``fingerprint`` plus the solver-cache ``cache_key``; the service
+net ``fingerprint`` plus the request's ``cache_key``; the service
 adds a SHA-256 ``digest`` over the canonical result JSON so clients
 hold hash-verifiable evidence (see :func:`result_digest`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from typing import Any
+import math
+from typing import TYPE_CHECKING, Any
 
 from repro.engine.cache import configure_cache
 from repro.errors import ReproError
 from repro.perception.parameters import PerceptionParameters
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.perception.evaluation import Evaluation
+
 #: Spec keys that override individual Table II parameters.
-_PARAMETER_KEYS = {
+PARAMETER_KEYS = {
     "p": "p",
     "p_prime": "p_prime",
     "alpha": "alpha",
@@ -47,12 +50,34 @@ _SHAPE_KEYS = {"preset", "versions", "f", "r", "rejuvenation"}
 #: Spec keys configuring the solve itself.
 _SOLVE_KEYS = {"max_states", "method"}
 
+_PRESETS = {
+    "four": PerceptionParameters.four_version_defaults,
+    "six": PerceptionParameters.six_version_defaults,
+}
+
 DEFAULT_MAX_STATES = 200_000
 METHODS = ("auto", "ctmc", "mrgp", "sparse")
 
 
 class SpecError(ReproError):
     """A request spec that cannot name a valid configuration."""
+
+
+def _integer(spec: dict[str, Any], key: str, default: int) -> int:
+    value = spec.get(key, default)
+    if type(value) is not int:  # rejects floats and bool, an int subclass
+        raise SpecError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(spec: dict[str, Any], key: str) -> float:
+    value = spec[key]
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise SpecError(f"{key!r} must be a finite number, got {value!r}")
 
 
 def resolve_spec(
@@ -63,47 +88,56 @@ def resolve_spec(
     Mirrors the CLI: ``preset`` (``"four"``/``"six"``) or ``versions``
     (+ ``f``/``r``/``rejuvenation``) selects the shape, the Table II
     keys override rates, and ``max_states``/``method`` tune the solve.
-    Unknown keys are rejected — a typoed parameter must not silently
-    evaluate the defaults.
+    Any input that would be ignored or coerced — an unknown key, a shape
+    key beside ``preset``, ``r``/``interval``/``rejuvenation_time``
+    without rejuvenation, a non-integer count — is a :class:`SpecError`.
     """
     if not isinstance(spec, dict):
         raise SpecError(f"spec must be a JSON object, got {type(spec).__name__}")
-    unknown = sorted(set(spec) - _SHAPE_KEYS - set(_PARAMETER_KEYS) - _SOLVE_KEYS)
+    unknown = sorted(set(spec) - _SHAPE_KEYS - set(PARAMETER_KEYS) - _SOLVE_KEYS)
     if unknown:
         raise SpecError(f"unknown spec key {unknown[0]!r}")
 
-    overrides = {}
-    for key, attribute in _PARAMETER_KEYS.items():
-        if key in spec:
-            overrides[attribute] = float(spec[key])
-
-    preset = spec.get("preset")
+    overrides = {
+        attribute: _number(spec, key)
+        for key, attribute in PARAMETER_KEYS.items()
+        if key in spec
+    }
+    if "preset" in spec:
+        preset = spec["preset"]
+        if not isinstance(preset, str) or preset not in _PRESETS:
+            raise SpecError(f"unknown preset {preset!r}; use 'four' or 'six'")
+        for key in ("versions", "f", "r", "rejuvenation"):
+            if key in spec:
+                raise SpecError(
+                    f"preset {preset!r} fixes {key!r}; "
+                    "give either 'preset' or 'versions', not both"
+                )
+        build = _PRESETS[preset]
+    elif "versions" in spec:
+        rejuvenation = spec.get("rejuvenation", False)
+        if not isinstance(rejuvenation, bool):
+            raise SpecError(
+                f"'rejuvenation' must be true or false, got {rejuvenation!r}"
+            )
+        build = functools.partial(
+            PerceptionParameters,
+            n_modules=_integer(spec, "versions", 0),
+            f=_integer(spec, "f", 1),
+            r=_integer(spec, "r", 1),
+            rejuvenation=rejuvenation,
+        )
+    else:
+        raise SpecError("spec needs 'preset' ('four'/'six') or 'versions'")
     try:
-        if preset is not None:
-            if preset not in ("four", "six"):
-                raise SpecError(f"unknown preset {preset!r}; use 'four' or 'six'")
-            if "versions" in spec:
-                raise SpecError("give either 'preset' or 'versions', not both")
-            build = (
-                PerceptionParameters.four_version_defaults
-                if preset == "four"
-                else PerceptionParameters.six_version_defaults
-            )
-            parameters = build(**overrides)
-        elif "versions" in spec:
-            parameters = PerceptionParameters(
-                n_modules=int(spec["versions"]),
-                f=int(spec.get("f", 1)),
-                r=int(spec.get("r", 1)),
-                rejuvenation=bool(spec.get("rejuvenation", False)),
-                **overrides,
-            )
-        else:
-            raise SpecError("spec needs 'preset' ('four'/'six') or 'versions'")
+        parameters = build(**overrides)
     except (TypeError, ValueError) as error:
         raise SpecError(f"invalid spec value: {error}") from error
+    for key in ("r", "interval", "rejuvenation_time"):
+        if key in spec and not parameters.rejuvenation:
+            raise SpecError(f"{key!r} applies only with rejuvenation")
 
-    max_states = int(spec.get("max_states", DEFAULT_MAX_STATES))
+    max_states = _integer(spec, "max_states", DEFAULT_MAX_STATES)
     if max_states < 1:
         raise SpecError(f"max_states must be >= 1, got {max_states}")
     method = spec.get("method", "auto")
@@ -114,14 +148,12 @@ def resolve_spec(
     return parameters, max_states, method
 
 
-def build_net(parameters: PerceptionParameters):
-    """The Fig. 2 net for ``parameters`` (builder chosen by shape)."""
-    from repro.perception.no_rejuvenation import build_no_rejuvenation_net
-    from repro.perception.rejuvenation import build_rejuvenation_net
+def _evaluation(spec: dict[str, Any], **options: Any) -> "Evaluation":
+    """The Eq. 1 request a spec names."""
+    from repro.perception.evaluation import Evaluation
 
-    if parameters.rejuvenation:
-        return build_rejuvenation_net(parameters)
-    return build_no_rejuvenation_net(parameters)
+    parameters, max_states, method = resolve_spec(spec)
+    return Evaluation(parameters, method=method, max_states=max_states, **options)
 
 
 def fingerprint_spec(spec: dict[str, Any]) -> tuple[str, str]:
@@ -129,29 +161,15 @@ def fingerprint_spec(spec: dict[str, Any]) -> tuple[str, str]:
 
     The fingerprint is the engine's content-addressed net fingerprint,
     so two specs that *assemble the same model* (e.g. ``preset: six``
-    versus the explicit six-version parameters) share one identity; the
-    cache key additionally pins ``max_states`` and ``method``, exactly
-    as the solver cache does, plus the reward-only parameters
-    (``p``/``p_prime``/``alpha``): those enter Eq. 1 through the reward
-    function without touching the net's structure or rates, so the net
-    fingerprint alone would conflate specs with different E[R].
+    versus the explicit six-version parameters) share one identity.
+    The cache key is the spec's :attr:`Evaluation.key
+    <repro.perception.evaluation.Evaluation.key>`: it adds the
+    reliability function (so ``p``/``p_prime``/``alpha``, which enter
+    Eq. 1 through the reward and not the net), ``max_states`` and
+    ``method``, and it is the ``cache_key`` the workers return.
     """
-    from repro.engine.hashing import net_fingerprint, solver_cache_key
-
-    parameters, max_states, method = resolve_spec(spec)
-    net = build_net(parameters)
-    reward = hashlib.sha256(
-        json.dumps(
-            {
-                "alpha": repr(parameters.alpha),
-                "p": repr(parameters.p),
-                "p_prime": repr(parameters.p_prime),
-            },
-            sort_keys=True,
-        ).encode()
-    ).hexdigest()[:16]
-    solver_key = solver_cache_key(net, max_states=max_states, method=method)
-    return net_fingerprint(net), f"{solver_key}:reward:{reward}"
+    evaluation = _evaluation(spec)
+    return evaluation.fingerprint, evaluation.key
 
 
 def result_digest(result: dict[str, Any]) -> str:
@@ -218,43 +236,26 @@ def instrumented_worker(
 
 def solve_worker(spec: dict[str, Any]) -> dict[str, Any]:
     """Evaluate E[R_sys] for ``spec`` (one ``/v1/solve`` computation)."""
-    from repro.engine.hashing import net_fingerprint, solver_cache_key
-    from repro.engine.tasks import expected_reliability
-
-    parameters, max_states, method = resolve_spec(spec)
-    net = build_net(parameters)
-    value = expected_reliability(
-        parameters, max_states=max_states, method=method
-    )
+    evaluation = _evaluation(spec)
     return {
-        "expected_reliability": value,
-        "fingerprint": net_fingerprint(net),
-        "cache_key": solver_cache_key(
-            net, max_states=max_states, method=method
-        ),
-        "n_modules": parameters.n_modules,
-        "rejuvenation": parameters.rejuvenation,
+        "expected_reliability": evaluation.expected_reliability(),
+        "fingerprint": evaluation.fingerprint,
+        "cache_key": evaluation.key,
+        "n_modules": evaluation.parameters.n_modules,
+        "rejuvenation": evaluation.parameters.rejuvenation,
     }
 
 
 def verify_worker(spec: dict[str, Any]) -> dict[str, Any]:
     """Lint + certify ``spec``'s net (one ``/v1/verify`` computation)."""
-    from repro.dspn import solve_steady_state
-    from repro.engine.hashing import net_fingerprint, solver_cache_key
     from repro.verify import lint_net
 
-    parameters, max_states, method = resolve_spec(spec)
-    net = build_net(parameters)
-    report = lint_net(net, max_states=max_states)
-    solution = solve_steady_state(
-        net, max_states=max_states, method=method, verify=True
-    )
-    certificate = solution.certificate
+    evaluation = _evaluation(spec, verify=True)
+    report = lint_net(evaluation.net, max_states=evaluation.max_states)
+    certificate = evaluation.solve().certificate
     return {
-        "fingerprint": net_fingerprint(net),
-        "cache_key": solver_cache_key(
-            net, max_states=max_states, method=method
-        ),
+        "fingerprint": evaluation.fingerprint,
+        "cache_key": evaluation.key,
         "lint": {
             "ok": report.ok,
             "truncated": report.truncated,

@@ -38,7 +38,8 @@ class VerifyTarget:
         The perception parameter set; ``parameters.rejuvenation``
         selects the builder.
     build_options:
-        Extra keyword arguments for the builder as sorted ``(key,
+        Extra keyword arguments for
+        :func:`repro.perception.evaluation.build_net` as sorted ``(key,
         value)`` pairs (kept as a tuple so the target stays frozen and
         picklable).
     threshold:
@@ -58,13 +59,9 @@ class VerifyTarget:
 
     def build(self) -> "PetriNet":
         """Construct the target's net (fresh each call)."""
-        from repro.perception.no_rejuvenation import build_no_rejuvenation_net
-        from repro.perception.rejuvenation import build_rejuvenation_net
+        from repro.perception.evaluation import build_net
 
-        options = dict(self.build_options)
-        if self.parameters.rejuvenation:
-            return build_rejuvenation_net(self.parameters, **options)
-        return build_no_rejuvenation_net(self.parameters, **options)
+        return build_net(self.parameters, **dict(self.build_options))
 
     def reliability(self):
         """The reliability function for this target's Eq. 1 checks."""

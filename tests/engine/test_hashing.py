@@ -143,8 +143,8 @@ class TestCacheKeys:
         )
         assert fp_a != fp_b
         assert reward_cache_key(
-            net, reliability_fp=fp_a, max_states=100
-        ) != reward_cache_key(net, reliability_fp=fp_b, max_states=100)
+            net_fingerprint(net), reliability_fp=fp_a, max_states=100
+        ) != reward_cache_key(net_fingerprint(net), reliability_fp=fp_b, max_states=100)
 
     def test_reward_key_separates_solver_methods(self):
         net = _cycle_net()
@@ -152,7 +152,7 @@ class TestCacheKeys:
             GeneralizedReliability(n_modules=6, threshold=4, p=0.1, p_prime=0.5, alpha=0.9)
         )
         keys = {
-            reward_cache_key(net, reliability_fp=fp, max_states=100, method=method)
+            reward_cache_key(net_fingerprint(net), reliability_fp=fp, max_states=100, method=method)
             for method in ("auto", "ctmc", "mrgp", "sparse")
         }
         assert len(keys) == 4
@@ -164,7 +164,7 @@ class TestCacheKeys:
         )
         assert solver_cache_key(
             net, max_states=100, method="auto"
-        ) != reward_cache_key(net, reliability_fp=fp, max_states=100)
+        ) != reward_cache_key(net_fingerprint(net), reliability_fp=fp, max_states=100)
 
     def test_ad_hoc_callables_have_no_fingerprint(self):
         assert reliability_fingerprint(lambda i, j, k: 1.0) is None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import UnsupportedModelError
+from repro.errors import StateSpaceError, UnsupportedModelError
 from repro.perception import PerceptionParameters, PerceptionSystem
 
 
@@ -18,6 +18,14 @@ class TestFacade:
 
     def test_analyze_cached(self, four_version_parameters):
         system = PerceptionSystem(four_version_parameters)
+        assert system.analyze() is system.analyze()
+
+    def test_analyze_memoizes_per_state_bound(self, six_version_parameters):
+        # a result computed under one max_states must not answer another
+        system = PerceptionSystem(six_version_parameters)
+        assert system.analyze().expected_reliability == pytest.approx(0.9430077)
+        with pytest.raises(StateSpaceError):
+            system.analyze(max_states=5)
         assert system.analyze() is system.analyze()
 
     def test_rejuvenating_system_uses_clocked_net(self, six_version_parameters):

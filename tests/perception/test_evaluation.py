@@ -11,7 +11,13 @@ from repro.nversion.reliability import (
     PaperFourVersionReliability,
     PaperSixVersionReliability,
 )
-from repro.perception.evaluation import default_reliability_function, evaluate
+from repro.engine.cache import cache_override
+from repro.perception.evaluation import (
+    Evaluation,
+    build_net,
+    default_reliability_function,
+    evaluate,
+)
 from repro.perception.parameters import PerceptionParameters
 
 
@@ -74,6 +80,54 @@ class TestEvaluate:
             params = PerceptionParameters.six_version_defaults(p_prime=p_prime)
             value = evaluate(params).expected_reliability
             assert 0.0 <= value <= 1.0
+
+
+class TestEvaluation:
+    def test_build_net_dispatches_on_rejuvenation(
+        self, four_version_parameters, six_version_parameters
+    ):
+        assert "Trc" not in build_net(four_version_parameters).transitions
+        assert "Trc" in build_net(six_version_parameters).transitions
+
+    def test_builds_and_evaluates_once(self, six_version_parameters):
+        evaluation = Evaluation(six_version_parameters)
+        assert evaluation.net is evaluation.net
+        assert evaluation.result is evaluation.result
+
+    def test_resolves_default_reliability_and_normalizes_options(
+        self, six_version_parameters
+    ):
+        evaluation = Evaluation(
+            six_version_parameters,
+            build_options={"lost_ticks": True, "clock": "exponential"},
+        )
+        assert evaluation.reliability == default_reliability_function(
+            six_version_parameters
+        )
+        assert evaluation.build_options == (
+            ("clock", "exponential"),
+            ("lost_ticks", True),
+        )
+
+    def test_key_covers_reliability_bound_and_route(self, six_version_parameters):
+        base = Evaluation(six_version_parameters)
+        variants = [
+            Evaluation(six_version_parameters.replace(p=0.1)),
+            Evaluation(six_version_parameters, max_states=1000),
+            Evaluation(six_version_parameters, method="mrgp"),
+            Evaluation(six_version_parameters, build_options={"clock": "exponential"}),
+        ]
+        assert len({base.key, *(variant.key for variant in variants)}) == 5
+
+    def test_ad_hoc_reliability_has_no_key(self, four_version_parameters):
+        assert Evaluation(four_version_parameters, _AlwaysOne()).key is None
+
+    def test_reward_tier_is_stored_under_the_key(self, six_version_parameters):
+        evaluation = Evaluation(six_version_parameters)
+        with cache_override(enabled=True) as cache:
+            value = evaluation.expected_reliability()
+            assert cache.get(evaluation.key) == value
+        assert value == evaluate(six_version_parameters).expected_reliability
 
 
 class _AlwaysOne:

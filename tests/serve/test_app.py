@@ -8,7 +8,12 @@ import threading
 
 import pytest
 
-from repro.serve import ReliabilityService, ServeConfig, result_digest
+from repro.serve import (
+    ReliabilityService,
+    ServeConfig,
+    fingerprint_spec,
+    result_digest,
+)
 from repro.serve.client import request, stream_lines
 from tests.obs.test_export import assert_valid_openmetrics
 from tests.serve.conftest import running_service
@@ -85,6 +90,20 @@ class TestBasicEndpoints:
                 a = low.json()["result"]["expected_reliability"]
                 b = high.json()["result"]["expected_reliability"]
                 assert a > b  # more accurate modules -> higher E[R]
+
+        asyncio.run(go())
+
+    def test_response_cache_key_is_the_server_key(self):
+        spec = {"preset": "six", "p": 0.1}
+        fingerprint, key = fingerprint_spec(spec)
+
+        async def go():
+            async with running_service(fast_config()) as (_, host, port):
+                for path in ("/v1/solve", "/v1/verify"):
+                    response = await request(host, port, "POST", path, payload=spec)
+                    assert response.status == 200
+                    assert response.json()["result"]["cache_key"] == key
+                    assert response.json()["fingerprint"] == fingerprint
 
         asyncio.run(go())
 

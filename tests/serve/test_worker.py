@@ -66,6 +66,28 @@ class TestResolveSpec:
         with pytest.raises(SpecError, match="JSON object"):
             resolve_spec(["preset", "four"])
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"preset": "four", "f": 2}, "fixes 'f'"),
+            ({"preset": "six", "r": 2}, "fixes 'r'"),
+            ({"preset": "four", "rejuvenation": True}, "fixes 'rejuvenation'"),
+            ({"versions": 6, "rejuvenation": "false"}, "true or false"),
+            ({"versions": 7, "f": 1.7}, "'f' must be an integer"),
+            ({"versions": 7.9}, "'versions' must be an integer"),
+            ({"preset": "four", "max_states": 2.5}, "'max_states' must be"),
+            ({"versions": 5, "r": 2}, "'r' applies only with rejuvenation"),
+            ({"versions": 5, "interval": 300.0}, "'interval' applies only"),
+            ({"preset": "four", "rejuvenation_time": 2.0}, "'rejuvenation_time'"),
+            ({"preset": "four", "mttc": "1523"}, "'mttc' must be a finite number"),
+            ({"preset": "four", "p": True}, "'p' must be a finite number"),
+            ({"preset": None}, "unknown preset"),
+        ],
+    )
+    def test_rejects_inputs_it_would_ignore_or_coerce(self, spec, message):
+        with pytest.raises(SpecError, match=message):
+            resolve_spec(spec)
+
     def test_invalid_parameter_combination_is_spec_error(self):
         # n=4 violates the BFT floor for f=2, r=1 with rejuvenation.
         with pytest.raises(SpecError, match="invalid spec value"):
@@ -77,9 +99,7 @@ class TestResolveSpec:
 class TestFingerprints:
     def test_equivalent_specs_share_a_fingerprint(self):
         preset_fp, preset_key = fingerprint_spec({"preset": "four"})
-        explicit_fp, explicit_key = fingerprint_spec(
-            {"versions": 4, "f": 1, "r": 1}
-        )
+        explicit_fp, explicit_key = fingerprint_spec({"versions": 4, "f": 1})
         assert preset_fp == explicit_fp
         assert preset_key == explicit_key
 
@@ -142,6 +162,38 @@ class TestWorkers:
         assert result["n_modules"] == 4
         assert not result["rejuvenation"]
         assert len(result["fingerprint"]) == 64
+
+    def test_cold_request_builds_and_fingerprints_once_per_call(
+        self, monkeypatch
+    ):
+        import repro.engine.hashing as hashing
+        import repro.perception.evaluation as evaluation
+        from repro.engine.cache import cache_override
+
+        calls = {"build": 0, "fingerprint": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        fingerprint = counting("fingerprint", hashing.net_fingerprint)
+        for module in (hashing, evaluation):
+            monkeypatch.setattr(module, "net_fingerprint", fingerprint)
+        for builder in ("build_rejuvenation_net", "build_no_rejuvenation_net"):
+            monkeypatch.setattr(
+                evaluation, builder, counting("build", getattr(evaluation, builder))
+            )
+        spec = {"versions": 8, "rejuvenation": True, "r": 1, "mttc": 1400.0}
+        with cache_override(enabled=True):
+            fingerprint_spec(spec)
+            solve_worker(spec)
+        # one build + one fingerprint per request; the solver cache key
+        # adds the third fingerprint
+        assert calls["build"] <= 2
+        assert calls["fingerprint"] <= 3
 
     def test_verify_worker_reports_lint_and_certificate(self):
         result = verify_worker({"preset": "four"})

@@ -42,6 +42,20 @@ class TestAnalyze:
         ) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--four", "--versions", "8", "--f", "2"],
+            ["--four", "--f", "2"],
+            ["--six", "--r", "2"],
+            ["--versions", "5", "--r", "2"],
+            ["--versions", "5", "--interval", "300"],
+        ],
+    )
+    def test_ignored_flags_are_errors(self, flags, capsys):
+        assert main(["analyze", *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_table(self, capsys):
