@@ -9,7 +9,7 @@ the policy benchmarks track the end-to-end cost of the closed loop.
 import time
 
 from repro.experiments.monitor import run_monitor_policies, run_policy
-from repro.monitor import MonitorController, PeriodicPolicy
+from repro.monitor import MonitorController
 from repro.perception.parameters import PerceptionParameters
 from repro.simulation import PerceptionRuntime
 
@@ -19,7 +19,7 @@ HORIZON = 20000.0
 def _run(monitored: bool):
     parameters = PerceptionParameters.six_version_defaults()
     monitor = (
-        MonitorController(parameters, PeriodicPolicy()) if monitored else None
+        MonitorController(parameters) if monitored else None
     )
     runtime = PerceptionRuntime(
         parameters, request_period=1.0, seed=0, monitor=monitor

@@ -73,11 +73,13 @@ def run_policy(
     scenario: str = "steady",
 ) -> PolicyRun:
     """Run one policy under monitoring and collect its metrics."""
-    kwargs = {"bound": threshold_bound} if policy_name == "threshold" else {}
     controller = MonitorController(
         parameters,
-        make_policy(policy_name, **kwargs),
-        detection_threshold=detection_threshold,
+        make_policy(
+            policy_name,
+            bound=threshold_bound,
+            detection_threshold=detection_threshold,
+        ),
     )
     runtime = PerceptionRuntime(
         parameters,

@@ -2,72 +2,77 @@
 
 The paper's rejuvenation clock is open-loop: it fires every 1/γ and
 picks victims uniformly because the mechanism "cannot tell healthy from
-compromised apart" (Fig. 2c).  This package closes the loop over the
-executable runtime of :mod:`repro.simulation`:
+compromised apart" (Fig. 2c).  This package closes the loop, once, over
+``(groups, n_modules)`` arrays:
 
-* :mod:`~repro.monitor.signals` — per-module disagreement statistics
-  over a sliding window of vote rounds (deviation-from-plurality
-  counts, winning margins);
+* :mod:`~repro.monitor.signals` — the per-round disagreement signal
+  (who participated, who deviated from the plurality);
 * :mod:`~repro.monitor.estimator` — an online Bayesian filter over each
   module's hidden healthy/compromised state, with the DSPN's own rates
   (Tc/Tf) as prior dynamics and the deviation flags as likelihood;
-* :mod:`~repro.monitor.policies` — pluggable rejuvenation policies:
-  the paper's blind :class:`PeriodicPolicy`, the posterior-ranked
-  :class:`TargetedPolicy` and the adaptive :class:`ThresholdPolicy`,
-  all on equal token-bucket budgets;
-* :mod:`~repro.monitor.controller` — the closed loop, attached to
-  :class:`~repro.simulation.runtime.PerceptionRuntime` via its observer
-  hooks;
-* :mod:`~repro.monitor.metrics` — detection latency, false-trigger
-  rate and rolling empirical reliability.
+* :mod:`~repro.monitor.policies` — the validated options
+  (:class:`MonitorConfig`: the paper's blind ``periodic`` baseline, the
+  posterior-ranked ``targeted`` and the adaptive ``threshold`` policy,
+  on equal token-bucket budgets) and the one selection rule;
+* :mod:`~repro.monitor.metrics` — the ground-truth ledger: detection
+  latency, censoring, false alarms and false triggers;
+* :mod:`~repro.monitor.core` — :class:`HealthMonitor`, the loop itself,
+  driven by the batch runtime for thousands of replica groups at once;
+* :mod:`~repro.monitor.controller` — :class:`MonitorController`, its
+  one-group adapter for the event loop of
+  :class:`~repro.simulation.runtime.PerceptionRuntime`, which adds the
+  per-module events and a rolling reliability window.
 
 Quickstart::
 
-    from repro.monitor import MonitorController, ThresholdPolicy
+    from repro.monitor import MonitorConfig, MonitorController
     from repro.simulation import PerceptionRuntime
 
-    monitor = MonitorController(params, ThresholdPolicy(bound=0.9))
+    monitor = MonitorController(params, MonitorConfig(mode="threshold", bound=0.9))
     runtime = PerceptionRuntime(params, seed=7, monitor=monitor)
     report = runtime.run(86400.0)
     print(monitor.summary().render())
 """
 
 from repro.monitor.controller import MonitorController
+from repro.monitor.core import HealthMonitor
 from repro.monitor.estimator import (
     HealthEstimator,
+    deviation_likelihoods,
     healthy_deviation_probability,
     per_module_compromise_rate,
 )
-from repro.monitor.metrics import MonitorMetrics, MonitorSummary, TriggerRecord
-from repro.monitor.policies import (
-    POLICY_NAMES,
-    PeriodicPolicy,
-    PolicyView,
-    RejuvenationBudget,
-    RejuvenationPolicy,
-    TargetedPolicy,
-    ThresholdPolicy,
-    make_policy,
+from repro.monitor.metrics import (
+    MonitorMetrics,
+    MonitorReport,
+    MonitorSummary,
+    merge_monitor_reports,
 )
-from repro.monitor.signals import DisagreementWindow, RoundSignal, round_signal
+from repro.monitor.policies import (
+    MONITOR_MODES,
+    POLICY_NAMES,
+    MonitorConfig,
+    make_policy,
+    select_rejuvenations,
+)
+from repro.monitor.signals import RoundSignal, round_signal
 
 __all__ = [
-    "DisagreementWindow",
     "HealthEstimator",
+    "HealthMonitor",
+    "MONITOR_MODES",
+    "MonitorConfig",
     "MonitorController",
     "MonitorMetrics",
+    "MonitorReport",
     "MonitorSummary",
     "POLICY_NAMES",
-    "PeriodicPolicy",
-    "PolicyView",
-    "RejuvenationBudget",
-    "RejuvenationPolicy",
     "RoundSignal",
-    "TargetedPolicy",
-    "ThresholdPolicy",
-    "TriggerRecord",
+    "deviation_likelihoods",
     "healthy_deviation_probability",
     "make_policy",
+    "merge_monitor_reports",
     "per_module_compromise_rate",
     "round_signal",
+    "select_rejuvenations",
 ]

@@ -1,46 +1,51 @@
-"""The closed monitoring loop around :class:`PerceptionRuntime`.
+"""The event-loop adapter around a one-group :class:`HealthMonitor`.
 
-:class:`MonitorController` is what the runtime's observer hooks talk
-to.  Per vote round it
+:class:`MonitorController` is what
+:class:`~repro.simulation.runtime.PerceptionRuntime`'s observer hooks
+talk to.  It translates between the event loop's vocabulary and the
+array core (:class:`~repro.monitor.core.HealthMonitor` at groups=1):
 
-1. derives the round's disagreement signal from the voter's tally
-   (:mod:`repro.monitor.signals`),
-2. folds each participating module's deviation flag into the Bayesian
-   health filter (:mod:`repro.monitor.estimator`) — availability is
-   inferred purely from who produced an output, so the estimator path
-   is deployable as-is,
-3. reports threshold crossings to the metrics collector, and
-4. asks the policy whether to rejuvenate anybody *now*, clamped by the
-   token-bucket budget and guard g2.
+* per vote round, the raw outputs and the voter's tally become the
+  participation and deviation masks (:func:`~repro.monitor.signals.round_signal`)
+  — availability is inferred purely from who produced an output, so
+  the monitor is deployable as-is;
+* per clock tick (the DSPN's Trc firings), the runtime's availability
+  list becomes the operational mask;
+* the core's rejuvenation mask comes back as module ids;
+* ground-truth transitions arrive per module and go to the core's
+  ledger as one-hot masks.
 
-Clock ticks (the DSPN's Trc firings) accrue budget and give the policy
-its periodic decision point.  A *passive* policy
-(:class:`~repro.monitor.policies.PeriodicPolicy`) makes the controller
-a pure observer: the runtime keeps its built-in rejuvenator, consumes
-the identical RNG stream, and the trajectory is bit-identical to an
-unmonitored run — the baseline and the adaptive policies are therefore
-directly comparable under one seed.
+It keeps the two things the batch firehose deliberately skips: the
+per-module ``monitor.flag`` / ``monitor.unflag`` /
+``monitor.rejuvenation`` events, and a rolling reliability window over
+the last :data:`ROLLING_WINDOW` rounds.
 
-Ground-truth transitions stream into :class:`MonitorMetrics` only;
+With the passive ``observe`` mode the controller is a pure observer:
+the runtime keeps its built-in rejuvenator, consumes the identical RNG
+stream, and the trajectory is bit-identical to an unmonitored run — the
+baseline and the adaptive policies are therefore directly comparable
+under one seed.  Ground-truth transitions feed the ledger only;
 decisions never see them.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
+import numpy as np
+
 from repro.errors import SimulationError
-from repro.monitor.estimator import HealthEstimator
-from repro.obs import counter as obs_counter
-from repro.obs import histogram as obs_histogram
-from repro.monitor.metrics import MonitorMetrics, MonitorSummary
-from repro.monitor.policies import (
-    PolicyView,
-    RejuvenationBudget,
-    RejuvenationPolicy,
-)
-from repro.monitor.signals import DisagreementWindow, round_signal
+from repro.monitor.core import HealthMonitor
+from repro.monitor.metrics import MonitorSummary
+from repro.monitor.policies import MonitorConfig
+from repro.monitor.signals import round_signal
+from repro.obs.events import emit as emit_event
 from repro.perception.parameters import PerceptionParameters
 from repro.simulation.faults import FaultSemantics
 from repro.simulation.voter import VoteOutcome, VoteTally
+
+#: Rounds covered by the rolling empirical reliability.
+ROLLING_WINDOW = 1000
 
 
 class MonitorController:
@@ -50,67 +55,38 @@ class MonitorController:
     ----------
     parameters:
         The system configuration (must match the runtime's).
-    policy:
-        The rejuvenation policy; passive policies observe only.
-    window_size:
-        Sliding-window length (vote rounds) for the disagreement
-        statistics.
-    detection_threshold:
-        Posterior bound above which a module counts as *flagged* for the
-        detection-latency metrics.
-    budget_cap:
-        Token-bucket cap for active policies (defaults to ``r``: no
-        hoarding beyond one interval's allowance).
-    semantics:
-        Fault-channel semantics of the runtime (prior-hazard scaling).
+    config:
+        The monitoring options; the default observes passively.
     """
 
     def __init__(
         self,
         parameters: PerceptionParameters,
-        policy: RejuvenationPolicy,
-        *,
-        window_size: int = 256,
-        detection_threshold: float = 0.5,
-        budget_cap: int | None = None,
-        semantics: FaultSemantics = FaultSemantics.CHANNEL,
-        estimator: HealthEstimator | None = None,
-        metrics: MonitorMetrics | None = None,
+        config: MonitorConfig = MonitorConfig(),
     ) -> None:
-        if not policy.passive and not parameters.rejuvenation:
+        if config.drives_clock and not parameters.rejuvenation:
             raise SimulationError(
-                f"policy {policy.name!r} drives the rejuvenation clock but the "
-                "configuration has rejuvenation disabled"
+                f"policy {config.policy!r} drives the rejuvenation clock but "
+                "the configuration has rejuvenation disabled"
             )
         self.parameters = parameters
-        self.policy = policy
-        self.window = DisagreementWindow(parameters.n_modules, window_size)
-        self.estimator = estimator or HealthEstimator(
-            parameters, semantics=semantics
-        )
-        self.metrics = metrics or MonitorMetrics(
-            detection_threshold=detection_threshold
-        )
-        self.budget = RejuvenationBudget(parameters.r, budget_cap)
-        self._available = [True] * parameters.n_modules
+        self.config = config
+        self.begin_run()
 
     @property
     def drives_clock(self) -> bool:
         """Whether the controller replaces the runtime's rejuvenator."""
-        return not self.policy.passive
+        return self.config.drives_clock
 
-    @property
-    def availability(self) -> list[bool]:
-        """Current per-module availability, as last observed (read-only)."""
-        return list(self._available)
+    def begin_run(self, semantics: FaultSemantics = FaultSemantics.CHANNEL) -> None:
+        """Reset all monitoring state (called by the runtime at t=0).
 
-    def begin_run(self) -> None:
-        """Reset all monitoring state (called by the runtime at t=0)."""
-        self.window.reset()
-        self.estimator.reset()
-        self.metrics.reset()
-        self.budget.reset()
-        self._available = [True] * self.parameters.n_modules
+        ``semantics`` is the runtime's fault-channel semantics; it sets
+        the filter's per-module compromise hazard.
+        """
+        self.core = HealthMonitor(self.parameters, self.config, semantics=semantics)
+        self._recent: deque[bool] = deque(maxlen=ROLLING_WINDOW)
+        self._recent_errors = 0
 
     # ------------------------------------------------------------------
     # observer hooks (called by PerceptionRuntime)
@@ -124,34 +100,25 @@ class MonitorController:
     ) -> list[int]:
         """Fold one vote round in; return module ids to rejuvenate now."""
         signal = round_signal(now, outputs, tally)
-        self.window.observe(signal)
-        self._sync_availability(now, [output is not None for output in outputs])
-        threshold = self.metrics.detection_threshold
-        updates = 0
-        for module_id, output in enumerate(outputs):
-            if output is None:
-                continue
-            before = self.estimator.probability_compromised(module_id)
-            after = self.estimator.update(
-                module_id, signal.deviated[module_id], now
-            )
-            updates += 1
-            if before < threshold <= after:
-                self.metrics.record_flag(now, module_id)
-            elif after < threshold <= before:
-                self.metrics.record_unflag(module_id)
-        # one registry touch per round, not per module: the aggregate
-        # keeps the hot path cheap and still sums exactly
-        if updates:
-            obs_counter("monitor.estimator.updates").inc(updates)
-        participants = sum(signal.participated)
-        obs_histogram("monitor.disagreement").observe(
-            sum(signal.deviated) / participants if participants else 0.0
+        is_error = outcome is VoteOutcome.ERROR
+        commands = self.core.observe_round(
+            now,
+            np.array([signal.participated]),
+            np.array([signal.deviated]),
+            int(is_error),
         )
-        self.metrics.record_round(outcome)
-        if not self.drives_clock:
-            return []
-        return self._issue(self.policy.on_round(self._view(now)), now)
+        if self.core.crossings is not None:
+            new_flags, unflagged = self.core.crossings
+            for module_id in np.flatnonzero(new_flags[0] | unflagged[0]).tolist():
+                if new_flags[0, module_id]:
+                    emit_event("monitor.flag", module=module_id, time=now)
+                else:
+                    emit_event("monitor.unflag", module=module_id)
+        if len(self._recent) == ROLLING_WINDOW:
+            self._recent_errors -= self._recent[0]
+        self._recent.append(is_error)
+        self._recent_errors += is_error
+        return self._module_ids(commands)
 
     def on_tick(
         self, now: float, operational: "list[bool] | None" = None
@@ -163,78 +130,29 @@ class MonitorController:
         it keeps tick-time decisions fresh when faults occurred since
         the last vote round.
         """
-        self.budget.accrue()
-        if operational is not None:
-            self._sync_availability(now, operational)
-        if not self.drives_clock:
-            return []
-        return self._issue(self.policy.on_tick(self._view(now)), now)
+        mask = (
+            self.core.estimator.available
+            if operational is None
+            else np.array([operational])
+        )
+        return self._module_ids(self.core.on_tick(now, mask))
 
     def notify_transition(self, now: float, module_id: int, event: str) -> None:
         """Ground-truth state transition (metrics instrumentation only)."""
-        self.metrics.record_transition(now, module_id, event)
+        mask = np.zeros((1, self.parameters.n_modules), dtype=bool)
+        mask[0, module_id] = True
+        self.core.record_transition(now, event, mask)
+        if event == "rejuvenation-start":
+            emit_event("monitor.rejuvenation", module=module_id, time=now)
 
     def summary(self) -> MonitorSummary:
-        return self.metrics.summary()
-
-    # ------------------------------------------------------------------
-    # decision plumbing
-    # ------------------------------------------------------------------
-    def _sync_availability(self, now: float, operational: list[bool]) -> None:
-        """Reconcile observed availability with the filter's state.
-
-        Downtime entries and exits are observable (a module that is
-        failed or rejuvenating produces no outputs), and every exit
-        returns the module healthy (transitions Tr/Trj), so reappearance
-        resets the posterior.
-        """
-        for module_id, is_up in enumerate(operational):
-            if self._available[module_id] and not is_up:
-                self._available[module_id] = False
-                self.estimator.observe_unavailable(module_id, now)
-            elif not self._available[module_id] and is_up:
-                self._available[module_id] = True
-                self.estimator.observe_return(module_id, now)
-
-    def _view(self, now: float) -> PolicyView:
-        suspicion = {
-            module_id: (
-                self.estimator.probability_compromised(module_id, now)
-                if self._available[module_id]
-                else None
-            )
-            for module_id in range(self.parameters.n_modules)
-        }
-        staleness = {
-            module_id: now - self.estimator.last_reset(module_id)
-            for module_id in range(self.parameters.n_modules)
-        }
-        down = sum(1 for available in self._available if not available)
-        return PolicyView(
-            now=now,
-            suspicion=suspicion,
-            staleness=staleness,
-            budget_tokens=self.budget.tokens,
-            capacity=max(0, self.parameters.r - down),
+        rolling = (
+            1.0 - self._recent_errors / len(self._recent) if self._recent else 1.0
         )
+        return self.core.report().summary(rolling_reliability=rolling)
 
-    def _issue(self, commands: list[int], now: float) -> list[int]:
-        """Validate and account for the policy's commands."""
-        issued: list[int] = []
-        for module_id in commands:
-            if not self._available[module_id]:
-                raise SimulationError(
-                    f"policy {self.policy.name!r} selected unavailable "
-                    f"module {module_id}"
-                )
-            if self.budget.tokens == 0:
-                raise SimulationError(
-                    f"policy {self.policy.name!r} overspent its budget"
-                )
-            self.budget.spend()
-            # the runtime starts the rejuvenation immediately: reflect
-            # the module going down without waiting for the next round
-            self._available[module_id] = False
-            self.estimator.observe_unavailable(module_id, now)
-            issued.append(module_id)
-        return issued
+    @staticmethod
+    def _module_ids(commands: "np.ndarray | None") -> list[int]:
+        if commands is None:
+            return []
+        return np.flatnonzero(commands[0]).tolist()

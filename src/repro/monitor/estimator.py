@@ -3,10 +3,11 @@
 Every operational module is either ``HEALTHY`` or ``COMPROMISED``; the
 voter cannot see which, but the two states have sharply different
 deviation behaviour (§III: inaccuracy p versus p' > p).  This module
-maintains, per module, the posterior probability of being compromised
-given the observable vote history — a two-state hidden-Markov filter
-whose ingredients are exactly the quantities the analytic model already
-uses:
+maintains, per module of every replica group, the posterior
+probability of being compromised given the observable vote history — a
+two-state hidden-Markov filter over ``(groups, n_modules)`` arrays
+whose ingredients are exactly the quantities the analytic model
+already uses:
 
 * **prior dynamics** — the compromise rate λc and failure rate λ of
   :class:`~repro.perception.parameters.PerceptionParameters`, i.e. the
@@ -31,12 +32,12 @@ filter sees exactly what a deployed monitor would see.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.perception.parameters import PerceptionParameters
 from repro.simulation.faults import FaultSemantics
-from repro.utils.validation import check_probability
 
 
 def healthy_deviation_probability(parameters: PerceptionParameters) -> float:
@@ -58,6 +59,24 @@ def healthy_deviation_probability(parameters: PerceptionParameters) -> float:
     return parameters.p * (1.0 / n + (1.0 - 1.0 / n) * parameters.alpha)
 
 
+def deviation_likelihoods(parameters: PerceptionParameters) -> tuple[float, float]:
+    """The filter's (healthy, compromised) per-round deviation probabilities.
+
+    Raises :class:`SimulationError` when a compromised module would not
+    deviate more often than a healthy one: the deviation signal then
+    carries no information.
+    """
+    healthy = healthy_deviation_probability(parameters)
+    compromised = parameters.p_prime
+    if compromised <= healthy:
+        raise SimulationError(
+            "compromised modules must deviate more often than healthy "
+            f"ones ({compromised} <= {healthy}); "
+            "the deviation signal carries no information otherwise"
+        )
+    return healthy, compromised
+
+
 def per_module_compromise_rate(
     parameters: PerceptionParameters,
     semantics: FaultSemantics = FaultSemantics.CHANNEL,
@@ -74,73 +93,36 @@ def per_module_compromise_rate(
     return parameters.lambda_c / parameters.n_modules
 
 
-@dataclass
-class _ModuleBelief:
-    """Filter state for one module."""
-
-    #: P(compromised | observations); ``None`` while unavailable.
-    probability: "float | None" = 0.0
-    last_update: float = 0.0
-    #: Time of the last observable reset (deployment, repair or
-    #: rejuvenation return) — policies use it as a staleness tie-break.
-    last_reset: float = 0.0
-
-
 class HealthEstimator:
-    """Per-module two-state Bayesian filter over {healthy, compromised}.
+    """Two-state Bayesian filter over ``(groups, n_modules)`` modules.
 
-    Parameters
-    ----------
-    parameters:
-        The system configuration; supplies the prior dynamics (λc, λ)
-        and the default likelihoods (p, p', α).
-    semantics:
-        Fault-channel semantics used to derive the per-module compromise
-        hazard (must match the runtime's).
-    p_deviate_healthy / p_deviate_compromised:
-        Optional overrides of the Bernoulli likelihoods.
+    ``posterior`` holds P(compromised) per module, NaN while the module
+    is unavailable; every available belief is propagated to ``clock``.
+    ``last_reset`` is the time of each module's last observable return
+    to HEALTHY (deployment, repair or rejuvenation) — the policies'
+    staleness tie-break.
     """
 
     def __init__(
         self,
         parameters: PerceptionParameters,
+        groups: int = 1,
         *,
         semantics: FaultSemantics = FaultSemantics.CHANNEL,
-        p_deviate_healthy: float | None = None,
-        p_deviate_compromised: float | None = None,
     ) -> None:
-        self.parameters = parameters
+        self.p_deviate_healthy, self.p_deviate_compromised = deviation_likelihoods(
+            parameters
+        )
         self.compromise_rate = per_module_compromise_rate(parameters, semantics)
         self.failure_rate = parameters.lambda_f
-        self.p_deviate_healthy = check_probability(
-            "p_deviate_healthy",
-            p_deviate_healthy
-            if p_deviate_healthy is not None
-            else healthy_deviation_probability(parameters),
-        )
-        self.p_deviate_compromised = check_probability(
-            "p_deviate_compromised",
-            p_deviate_compromised
-            if p_deviate_compromised is not None
-            else parameters.p_prime,
-        )
-        if self.p_deviate_compromised <= self.p_deviate_healthy:
-            raise SimulationError(
-                "compromised modules must deviate more often than healthy "
-                f"ones ({self.p_deviate_compromised} <= {self.p_deviate_healthy}); "
-                "the deviation signal carries no information otherwise"
-            )
-        self._beliefs = [_ModuleBelief() for _ in range(parameters.n_modules)]
+        shape = (groups, parameters.n_modules)
+        self.posterior = np.zeros(shape)
+        self.available = np.ones(shape, dtype=bool)
+        self.last_reset = np.zeros(shape)
+        self.clock = 0.0
 
-    def reset(self) -> None:
-        """Fresh deployment: all modules healthy at time zero."""
-        self._beliefs = [_ModuleBelief() for _ in range(self.parameters.n_modules)]
-
-    # ------------------------------------------------------------------
-    # prediction (prior dynamics)
-    # ------------------------------------------------------------------
-    def _predict(self, belief: _ModuleBelief, now: float) -> None:
-        """Propagate the belief from its last update to ``now``.
+    def predict(self, now: float) -> None:
+        """Propagate every available belief from ``clock`` to ``now``.
 
         Over a step dt the healthy mass leaks to compromised at the Tc
         hazard, while compromised mass exits to the *observable* FAILED
@@ -152,81 +134,53 @@ class HealthEstimator:
         (Newly compromised mass failing within the same step is a
         second-order term at Table II rates and is ignored.)
         """
-        dt = now - belief.last_update
+        dt = now - self.clock
         if dt < 0:
             raise SimulationError(f"time ran backwards: dt={dt}")
-        belief.last_update = now
-        if dt == 0.0 or belief.probability is None:
+        if dt == 0.0:
             return
-        c = belief.probability
-        h = 1.0 - c
+        self.clock = now
         leak = 1.0 - math.exp(-self.compromise_rate * dt)
+        c = self.posterior
+        h = 1.0 - c
         c_next = c * math.exp(-self.failure_rate * dt) + h * leak
-        h_next = h * (1.0 - leak)
-        belief.probability = c_next / (c_next + h_next)
+        self.posterior = c_next / (c_next + h * (1.0 - leak))
 
-    # ------------------------------------------------------------------
-    # observation updates
-    # ------------------------------------------------------------------
-    def update(self, module_id: int, deviated: bool, now: float) -> float:
-        """Fold one round's deviation flag into the module's posterior.
+    def sync(self, now: float, operational: np.ndarray) -> None:
+        """Advance to ``now`` and reconcile the observed availability.
 
-        Returns the updated P(compromised).
+        Downtime entries and exits are observable (a module that is
+        failed or rejuvenating produces no outputs), and every exit
+        returns the module healthy (transitions Tr/Trj), so reappearance
+        resets the posterior.
         """
-        belief = self._beliefs[module_id]
-        if belief.probability is None:
-            raise SimulationError(
-                f"module {module_id} is unavailable; no vote to fold in"
-            )
-        self._predict(belief, now)
-        c = belief.probability
-        if deviated:
-            numerator = c * self.p_deviate_compromised
-            denominator = numerator + (1.0 - c) * self.p_deviate_healthy
-        else:
-            numerator = c * (1.0 - self.p_deviate_compromised)
-            denominator = numerator + (1.0 - c) * (1.0 - self.p_deviate_healthy)
-        belief.probability = numerator / denominator
-        return belief.probability
+        self.predict(now)
+        changed = self.available != operational
+        if not np.count_nonzero(changed):
+            return
+        self.posterior[changed & ~operational] = np.nan
+        came_back = changed & operational
+        self.posterior[came_back] = 0.0
+        self.last_reset[came_back] = now
+        self.available = operational.copy()
 
-    def observe_unavailable(self, module_id: int, now: float) -> None:
-        """The module stopped producing outputs (failed or rejuvenating)."""
-        belief = self._beliefs[module_id]
-        belief.probability = None
-        belief.last_update = now
+    def update(self, deviated: np.ndarray) -> None:
+        """Fold one round's deviation flags into the available beliefs.
 
-    def observe_return(self, module_id: int, now: float) -> None:
-        """The module resumed output after downtime.
-
-        Both exits from unavailability (repair Tr, rejuvenation Trj)
-        return the module HEALTHY, so the posterior restarts at zero.
+        Unavailable modules stay NaN; the caller has synced availability
+        to the round's participants first.
         """
-        belief = self._beliefs[module_id]
-        belief.probability = 0.0
-        belief.last_update = now
-        belief.last_reset = now
+        c = self.posterior
+        numerator = c * np.where(
+            deviated, self.p_deviate_compromised, 1.0 - self.p_deviate_compromised
+        )
+        self.posterior = numerator / (
+            numerator
+            + (1.0 - c)
+            * np.where(deviated, self.p_deviate_healthy, 1.0 - self.p_deviate_healthy)
+        )
 
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-    def probability_compromised(self, module_id: int, now: float | None = None) -> "float | None":
-        """Current posterior P(compromised), ``None`` while unavailable.
-
-        With ``now`` given, the prior dynamics are propagated up to
-        ``now`` first (so queries between rounds stay fresh).
-        """
-        belief = self._beliefs[module_id]
-        if now is not None and belief.probability is not None:
-            self._predict(belief, now)
-        return belief.probability
-
-    def last_reset(self, module_id: int) -> float:
-        """Time of the module's last observable return to HEALTHY."""
-        return self._beliefs[module_id].last_reset
-
-    def suspicion(self, now: float | None = None) -> dict[int, "float | None"]:
-        """Posterior per module id (``None`` entries are unavailable)."""
-        return {
-            module_id: self.probability_compromised(module_id, now)
-            for module_id in range(self.parameters.n_modules)
-        }
+    def take_down(self, modules: np.ndarray) -> None:
+        """Commanded rejuvenations: the modules stop producing outputs."""
+        self.available &= ~modules
+        self.posterior[modules] = np.nan

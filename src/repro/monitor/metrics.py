@@ -1,10 +1,12 @@
-"""Monitoring quality metrics: detection latency, false triggers, rolling R.
+"""Monitoring quality metrics: detection latency, false triggers, reliability.
 
 The estimator and policies act on observables only; judging *how well*
 they act needs the ground truth the simulation happens to know.  The
-runtime therefore streams its actual state transitions into this module
-(and nowhere else): :class:`MonitorMetrics` is pure instrumentation, a
-one-way sink that never feeds back into decisions.
+runtimes therefore stream their actual state transitions into
+:class:`MonitorMetrics` (and nowhere else): it is pure instrumentation,
+a one-way sink that never feeds back into decisions, kept as
+``(groups, n_modules)`` masks so one ledger serves one replica group or
+thousands.
 
 Three families of measurements come out:
 
@@ -17,35 +19,23 @@ Three families of measurements come out:
   victim really was compromised; the false-trigger rate is the fraction
   of rejuvenations wasted on healthy modules (the paper's blind policy
   pays exactly this price);
-* **reliability** — a rolling empirical output reliability over the
-  last ``reliability_window`` rounds plus the cumulative rate, directly
-  comparable to the analytic E[R_sys].
+* **reliability** — the cumulative empirical output reliability,
+  directly comparable to the analytic E[R_sys] (the event-loop adapter
+  adds a rolling window over its last 1000 rounds).
 
 Every measurement is mirrored onto the global :mod:`repro.obs` metrics
-registry (``monitor.*`` counters) and, where there is a discrete moment
-to report, onto the event stream (``monitor.flag`` / ``monitor.unflag``
-/ ``monitor.rejuvenation``) — so one OpenMetrics dump or ``--events``
-file covers the solver pipeline and the monitoring loop together.
+registry as ``monitor.*`` counters, so one OpenMetrics dump covers the
+solver pipeline and the monitoring loop together.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.obs import counter as obs_counter
-from repro.obs.events import emit as emit_event
-from repro.simulation.voter import VoteOutcome
-from repro.utils.validation import check_positive_int, check_probability
-
-
-@dataclass(frozen=True)
-class TriggerRecord:
-    """One rejuvenation start, with its ground-truth attribution."""
-
-    time: float
-    module_id: int
-    was_compromised: bool
 
 
 @dataclass(frozen=True)
@@ -103,157 +93,184 @@ class MonitorSummary:
         )
 
 
-class MonitorMetrics:
-    """Streaming collector for the monitoring layer's quality metrics."""
+@dataclass(frozen=True)
+class MonitorReport:
+    """Final monitoring state and quality totals of a run.
 
-    def __init__(
-        self,
-        *,
-        detection_threshold: float = 0.5,
-        reliability_window: int = 1000,
-    ) -> None:
-        self.detection_threshold = check_probability(
-            "detection_threshold", detection_threshold
-        )
-        self.reliability_window = check_positive_int(
-            "reliability_window", reliability_window
-        )
-        self.reset()
+    Arrays are ``(groups, n_modules)``; ``posterior`` holds NaN for
+    modules that ended the run unavailable.
+    """
 
-    def reset(self) -> None:
-        self.detection_latencies: list[float] = []
-        self.censored = 0
-        self.false_alarms = 0
-        self.compromises = 0
-        self.triggers: list[TriggerRecord] = []
-        self.rounds = 0
-        self.errors = 0
-        self._recent: deque[bool] = deque(maxlen=self.reliability_window)
-        self._recent_errors = 0
-        # ground-truth bookkeeping
-        self._compromised_since: dict[int, float] = {}
-        self._flagged: set[int] = set()
-        self._detected: set[int] = set()
+    posterior: np.ndarray
+    available: np.ndarray
+    flagged: np.ndarray
+    compromises: int
+    detected: int
+    censored: int
+    false_alarms: int
+    flags: int
+    latency_sum: float
+    latency_max: float | None
+    triggers: int
+    false_triggers: int
+    rounds: int
+    errors: int
 
-    # ------------------------------------------------------------------
-    # ground-truth transitions (from the runtime's observer hook)
-    # ------------------------------------------------------------------
-    def record_transition(self, now: float, module_id: int, event: str) -> None:
-        """Fold one actual state transition into the bookkeeping.
+    def summary(self, rolling_reliability: "float | None" = None) -> MonitorSummary:
+        """The totals as a :class:`MonitorSummary` (fleet aggregate).
 
-        ``event`` is the runtime's transition kind: ``compromise``,
-        ``fail``, ``repair``, ``rejuvenation-start`` or
-        ``rejuvenation-done``.
+        ``rolling_reliability`` defaults to the cumulative rate — the
+        batch runtime keeps no per-group rolling window.
         """
-        if event == "compromise":
-            self.compromises += 1
-            obs_counter("monitor.compromises").inc()
-            if module_id in self._flagged:
-                # the filter was already (rightly or wrongly) suspicious;
-                # the compromise is detected the moment it happens
-                self.detection_latencies.append(0.0)
-                self._detected.add(module_id)
-            else:
-                self._compromised_since[module_id] = now
-        elif event in ("fail", "rejuvenation-start"):
-            if event == "rejuvenation-start":
-                was_compromised = (
-                    module_id in self._compromised_since
-                    or self._was_detected_compromised(module_id)
-                )
-                self.triggers.append(
-                    TriggerRecord(
-                        time=now,
-                        module_id=module_id,
-                        was_compromised=was_compromised,
-                    )
-                )
-                obs_counter("monitor.rejuvenations").inc()
-                if not was_compromised:
-                    obs_counter("monitor.rejuvenations.false").inc()
-                emit_event(
-                    "monitor.rejuvenation",
-                    module=module_id,
-                    time=now,
-                )
-            if self._compromised_since.pop(module_id, None) is not None:
-                self.censored += 1
-            self._flagged.discard(module_id)
-            self._detected.discard(module_id)
-        elif event in ("repair", "rejuvenation-done"):
-            # the module returns healthy; stale flags would misattribute
-            # the next compromise
-            self._compromised_since.pop(module_id, None)
-            self._flagged.discard(module_id)
-            self._detected.discard(module_id)
-
-    def _was_detected_compromised(self, module_id: int) -> bool:
-        return module_id in self._detected
-
-    # ------------------------------------------------------------------
-    # estimator flags (observable side)
-    # ------------------------------------------------------------------
-    def record_flag(self, now: float, module_id: int) -> None:
-        """The posterior crossed the detection threshold upwards."""
-        if module_id in self._flagged:
-            return
-        self._flagged.add(module_id)
-        obs_counter("monitor.flags").inc()
-        emit_event("monitor.flag", module=module_id, time=now)
-        since = self._compromised_since.pop(module_id, None)
-        if since is not None:
-            self.detection_latencies.append(now - since)
-            self._detected.add(module_id)
-        else:
-            self.false_alarms += 1
-            obs_counter("monitor.false_alarms").inc()
-
-    def record_unflag(self, module_id: int) -> None:
-        """The posterior dropped back below the threshold."""
-        if module_id in self._flagged:
-            emit_event("monitor.unflag", module=module_id)
-        self._flagged.discard(module_id)
-
-    # ------------------------------------------------------------------
-    # per-round reliability
-    # ------------------------------------------------------------------
-    def record_round(self, outcome: VoteOutcome) -> None:
-        self.rounds += 1
-        obs_counter("monitor.rounds").inc()
-        is_error = outcome is VoteOutcome.ERROR
-        self.errors += is_error
-        if is_error:
-            obs_counter("monitor.errors").inc()
-        if len(self._recent) == self._recent.maxlen:
-            self._recent_errors -= self._recent[0]
-        self._recent.append(is_error)
-        self._recent_errors += is_error
-
-    # ------------------------------------------------------------------
-    # aggregation
-    # ------------------------------------------------------------------
-    def summary(self) -> MonitorSummary:
-        latencies = self.detection_latencies
-        false_triggers = sum(
-            1 for trigger in self.triggers if not trigger.was_compromised
-        )
-        rolling = (
-            1.0 - self._recent_errors / len(self._recent) if self._recent else 1.0
-        )
         cumulative = 1.0 - self.errors / self.rounds if self.rounds else 1.0
         return MonitorSummary(
             compromises=self.compromises,
-            detected=len(latencies),
+            detected=self.detected,
             censored=self.censored,
             false_alarms=self.false_alarms,
             mean_detection_latency=(
-                sum(latencies) / len(latencies) if latencies else None
+                self.latency_sum / self.detected if self.detected else None
             ),
-            max_detection_latency=max(latencies) if latencies else None,
-            triggers=len(self.triggers),
-            false_triggers=false_triggers,
+            max_detection_latency=self.latency_max,
+            triggers=self.triggers,
+            false_triggers=self.false_triggers,
             rounds=self.rounds,
             errors=self.errors,
-            rolling_reliability=rolling,
+            rolling_reliability=(
+                cumulative if rolling_reliability is None else rolling_reliability
+            ),
             empirical_reliability=cumulative,
         )
+
+
+def merge_monitor_reports(reports: "list[MonitorReport]") -> MonitorReport:
+    """Concatenate per-chunk reports into one fleet-wide report."""
+    maxima = [r.latency_max for r in reports if r.latency_max is not None]
+    return MonitorReport(
+        posterior=np.concatenate([r.posterior for r in reports]),
+        available=np.concatenate([r.available for r in reports]),
+        flagged=np.concatenate([r.flagged for r in reports]),
+        compromises=sum(r.compromises for r in reports),
+        detected=sum(r.detected for r in reports),
+        censored=sum(r.censored for r in reports),
+        false_alarms=sum(r.false_alarms for r in reports),
+        flags=sum(r.flags for r in reports),
+        latency_sum=sum(r.latency_sum for r in reports),
+        latency_max=max(maxima) if maxima else None,
+        triggers=sum(r.triggers for r in reports),
+        false_triggers=sum(r.false_triggers for r in reports),
+        rounds=sum(r.rounds for r in reports),
+        errors=sum(r.errors for r in reports),
+    )
+
+
+class MonitorMetrics:
+    """Ground-truth ledger of flags, detections, censoring and triggers.
+
+    ``flagged`` marks modules whose posterior crossed the detection
+    threshold upwards and has not crossed back (or been cleared by a
+    transition); ``since`` holds the start of each open, still
+    undetected compromise episode (NaN: none); ``detected`` marks
+    compromises already caught, so their later rejuvenation counts as
+    justified.
+    """
+
+    def __init__(self, groups: int, n_modules: int) -> None:
+        shape = (groups, n_modules)
+        self.flagged = np.zeros(shape, dtype=bool)
+        self.detected_mask = np.zeros(shape, dtype=bool)
+        self.since = np.full(shape, np.nan)
+        self.compromises = 0
+        self.detected = 0
+        self.censored = 0
+        self.false_alarms = 0
+        self.flags = 0
+        self.latency_sum = 0.0
+        self.latency_max: float | None = None
+        self.triggers = 0
+        self.false_triggers = 0
+        self.rounds = 0
+        self.errors = 0
+
+    def record_crossings(
+        self, now: float, up: np.ndarray, down: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fold posterior threshold crossings in.
+
+        Returns the masks of new flags and of cleared standing flags.
+        A new flag on an open compromise episode detects it at latency
+        ``now - since``; on a healthy module it is a false alarm.
+        """
+        new_flags = up & ~self.flagged
+        unflagged = down & self.flagged
+        self.flagged ^= new_flags | unflagged
+        count = int(np.count_nonzero(new_flags))
+        if not count:
+            return new_flags, unflagged
+        obs_counter("monitor.flags").inc(count)
+        self.flags += count
+        caught = new_flags & ~np.isnan(self.since)
+        n_caught = int(np.count_nonzero(caught))
+        if n_caught:
+            latencies = now - self.since[caught]
+            self.detected_mask |= caught
+            self.detected += n_caught
+            self.latency_sum += float(latencies.sum())
+            self.latency_max = max(
+                self.latency_max if self.latency_max is not None else -math.inf,
+                float(latencies.max()),
+            )
+            self.since[caught] = np.nan
+        false_alarms = count - n_caught
+        if false_alarms:
+            self.false_alarms += false_alarms
+            obs_counter("monitor.false_alarms").inc(false_alarms)
+        return new_flags, unflagged
+
+    def record_transition(self, now: float, kind: str, mask: np.ndarray) -> None:
+        """Fold one kind of actual state transition in.
+
+        ``kind`` is the runtime's transition kind: ``compromise``,
+        ``fail``, ``repair``, ``rejuvenation-start`` or
+        ``rejuvenation-done``.
+        """
+        if kind == "compromise":
+            count = int(np.count_nonzero(mask))
+            self.compromises += count
+            obs_counter("monitor.compromises").inc(count)
+            while_flagged = mask & self.flagged
+            instant = int(np.count_nonzero(while_flagged))
+            if instant:
+                # the filter was already (rightly or wrongly) suspicious;
+                # the compromise is detected the moment it happens
+                self.detected_mask |= while_flagged
+                self.detected += instant
+                self.latency_max = max(self.latency_max or 0.0, 0.0)
+            self.since[mask & ~self.flagged] = now
+            return
+        if kind in ("fail", "rejuvenation-start"):
+            open_episode = mask & ~np.isnan(self.since)
+            if kind == "rejuvenation-start":
+                count = int(np.count_nonzero(mask))
+                self.triggers += count
+                obs_counter("monitor.rejuvenations").inc(count)
+                false = count - int(
+                    np.count_nonzero(open_episode | (mask & self.detected_mask))
+                )
+                if false:
+                    self.false_triggers += false
+                    obs_counter("monitor.rejuvenations.false").inc(false)
+            self.censored += int(np.count_nonzero(open_episode))
+        # the module is down or returns healthy; stale flags would
+        # misattribute the next compromise
+        self.since[mask] = np.nan
+        self.flagged &= ~mask
+        self.detected_mask &= ~mask
+
+    def record_rounds(self, rounds: int, errors: int) -> None:
+        """Count vote rounds and the erroneous ones among them."""
+        self.rounds += rounds
+        self.errors += errors
+        obs_counter("monitor.rounds").inc(rounds)
+        if errors:
+            obs_counter("monitor.errors").inc(errors)

@@ -1,209 +1,128 @@
-"""Pluggable rejuvenation policies over the estimator's posterior.
+"""Rejuvenation policies: the monitor's options and its one selection rule.
 
 Three policies span the open-loop-to-closed-loop spectrum:
 
-* :class:`PeriodicPolicy` — the paper's baseline.  It is *passive*: the
-  runtime keeps its own rejuvenation clock
+* ``periodic`` (mode ``observe``) — the paper's baseline.  It is
+  *passive*: the runtime keeps its own rejuvenation clock
   (:class:`~repro.simulation.rejuvenator.Rejuvenator`), selections stay
   uniformly random, and the monitor only observes.  With the same seed
   the trajectory is bit-identical to an unmonitored run.
-* :class:`TargetedPolicy` — same clock, informed selection: at every
-  tick it rejuvenates the modules the estimator considers most suspect
+* ``targeted`` — same clock, informed selection: at every tick it
+  rejuvenates the modules the estimator considers most suspect
   (staleness-first among ties) instead of random victims.
-* :class:`ThresholdPolicy` — adaptive timing *and* selection: it fires
-  between ticks as soon as a module's posterior P(compromised) exceeds
-  a bound, spending from the same budget.
+* ``threshold`` — adaptive timing *and* selection: it fires between
+  ticks as soon as a module's posterior P(compromised) reaches
+  ``bound``, spending from the same budget.
 
-All active policies draw on a shared :class:`RejuvenationBudget` (token
-bucket refilled with ``r`` tokens per clock interval, capped) so the
+Active policies draw on a token bucket refilled with ``r`` tokens per
+clock interval and capped at ``budget_cap`` (default ``r``), so the
 comparison between policies is at **equal rejuvenation budgets**: an
 adaptive policy may redistribute *when* and *whom*, never *how much*.
+
+:class:`MonitorConfig` is the one validated option set, shared by the
+event-loop adapter and the batch runtime; :func:`select_rejuvenations`
+is the one ranking/budget rule, over ``(groups, n_modules)`` arrays.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
-from repro.utils.validation import check_probability, check_positive_int
+import numpy as np
 
+from repro.errors import SimulationError
+from repro.utils.validation import check_positive_int, check_probability
 
-class RejuvenationBudget:
-    """Token bucket bounding the rejuvenation rate of active policies.
+#: Monitor operating modes.  ``observe`` is the passive baseline;
+#: ``targeted`` and ``threshold`` replace the clock with the
+#: corresponding active policy.
+MONITOR_MODES = ("observe", "targeted", "threshold")
 
-    ``rate`` tokens accrue at every clock tick (the DSPN's Trc firings)
-    up to ``cap``; each rejuvenation command spends one.  With
-    ``rate = r`` and ``cap = r`` the long-run budget equals the periodic
-    baseline's: at most ``r`` rejuvenations per interval, no hoarding
-    across quiet periods.
-    """
-
-    def __init__(self, rate: int, cap: int | None = None) -> None:
-        self.rate = check_positive_int("rate", rate)
-        self.cap = check_positive_int("cap", cap if cap is not None else rate)
-        self.tokens = 0
-
-    def accrue(self) -> None:
-        """A clock tick elapsed: refill up to the cap."""
-        self.tokens = min(self.cap, self.tokens + self.rate)
-
-    def spend(self, count: int = 1) -> None:
-        if count > self.tokens:
-            raise ValueError(f"budget exhausted: {count} > {self.tokens}")
-        self.tokens -= count
-
-    def reset(self) -> None:
-        self.tokens = 0
+#: The ``repro monitor`` policy names and the mode each one runs.
+POLICY_MODES = {"periodic": "observe", "threshold": "threshold", "targeted": "targeted"}
+POLICY_NAMES: tuple[str, ...] = tuple(POLICY_MODES)
 
 
 @dataclass(frozen=True)
-class PolicyView:
-    """What a policy is allowed to see when deciding.
+class MonitorConfig:
+    """Monitoring options of one run (picklable, validated).
 
-    Strictly observable quantities only — posterior beliefs, staleness
-    and capacity.  Ground-truth module states never appear here.
-
-    Attributes
-    ----------
-    now:
-        Decision time.
-    suspicion:
-        Per-module posterior P(compromised); ``None`` marks a module
-        that is currently down (failed/rejuvenating) and cannot be
-        selected.
-    staleness:
-        Seconds since each module last (observably) returned healthy.
-    budget_tokens:
-        Rejuvenation commands the budget still allows.
-    capacity:
-        Rejuvenations guard g2 still allows (``r`` minus modules
-        currently failed or rejuvenating).
+    ``bound`` and ``detection_threshold`` must be finite and in [0, 1];
+    ``budget_cap`` an integer >= 1, or ``None`` for ``r``.
     """
 
-    now: float
-    suspicion: dict[int, "float | None"]
-    staleness: dict[int, float]
-    budget_tokens: int
-    capacity: int
+    mode: str = "observe"
+    #: Posterior bound of the threshold policy.
+    bound: float = 0.9
+    #: Posterior bound above which a module counts as flagged.
+    detection_threshold: float = 0.5
+    #: Token-bucket cap for active policies (defaults to ``r``).
+    budget_cap: int | None = None
 
-    def ranked_candidates(self) -> list[int]:
-        """Operational modules, most suspect first.
-
-        Ties (e.g. several posteriors pinned at ~0 right after resets)
-        break towards the *stalest* module, then the lowest id — a
-        deterministic round-robin that spreads blind rejuvenations.
-        """
-        candidates = [
-            module_id
-            for module_id, probability in self.suspicion.items()
-            if probability is not None
-        ]
-        candidates.sort(
-            key=lambda module_id: (
-                -self.suspicion[module_id],
-                -self.staleness[module_id],
-                module_id,
+    def __post_init__(self) -> None:
+        if self.mode not in MONITOR_MODES:
+            raise SimulationError(
+                f"unknown monitor mode {self.mode!r}; valid modes: "
+                f"{', '.join(MONITOR_MODES)}"
             )
-        )
-        return candidates
+        check_probability("bound", self.bound)
+        check_probability("detection_threshold", self.detection_threshold)
+        if self.budget_cap is not None:
+            check_positive_int("budget_cap", self.budget_cap)
 
     @property
-    def allowance(self) -> int:
-        """Commands permitted right now (budget ∧ guard)."""
-        return max(0, min(self.budget_tokens, self.capacity))
+    def drives_clock(self) -> bool:
+        """Whether the monitor replaces the runtime's rejuvenator."""
+        return self.mode != "observe"
+
+    @property
+    def policy(self) -> str:
+        """The mode's ``repro monitor`` policy name."""
+        return next(name for name, mode in POLICY_MODES.items() if mode == self.mode)
 
 
-class RejuvenationPolicy(abc.ABC):
-    """Decides when and which operational modules to rejuvenate."""
-
-    #: Stable identifier used by the CLI and experiment reports.
-    name: str = "abstract"
-    #: Passive policies leave the runtime's built-in clock untouched;
-    #: active ones take over tick handling and spend from the budget.
-    passive: bool = False
-
-    def on_tick(self, view: PolicyView) -> list[int]:
-        """Module ids to rejuvenate at a clock tick."""
-        return []
-
-    def on_round(self, view: PolicyView) -> list[int]:
-        """Module ids to rejuvenate after a vote round (between ticks)."""
-        return []
-
-
-class PeriodicPolicy(RejuvenationPolicy):
-    """The paper's open-loop baseline (Fig. 2b/2c).
-
-    Passive by construction: the runtime's own
-    :class:`~repro.simulation.rejuvenator.Rejuvenator` keeps firing with
-    uniformly random selection, consuming the same RNG stream in the
-    same order, so a monitored run with this policy reproduces the
-    unmonitored trajectory exactly.
-    """
-
-    name = "periodic"
-    passive = True
-
-
-class TargetedPolicy(RejuvenationPolicy):
-    """Periodic clock, estimator-ranked selection.
-
-    Spends the whole tick allowance on the most-suspect operational
-    modules — the minimal closed-loop upgrade: same cadence and budget
-    as the baseline, only the victim choice is informed.
-    """
-
-    name = "targeted"
-
-    def on_tick(self, view: PolicyView) -> list[int]:
-        return view.ranked_candidates()[: view.allowance]
-
-
-class ThresholdPolicy(RejuvenationPolicy):
-    """Fire whenever a posterior exceeds ``bound``, within budget.
-
-    Reacts between clock ticks (detection latency is bounded by the
-    request period, not the clock interval), which is where adaptivity
-    pays off under bursty attack campaigns.  Quiet periods spend
-    nothing — unlike the baseline, which rejuvenates blindly on every
-    tick.
-    """
-
-    name = "threshold"
-
-    def __init__(self, bound: float = 0.9) -> None:
-        self.bound = check_probability("bound", bound)
-
-    def on_round(self, view: PolicyView) -> list[int]:
-        suspects = [
-            module_id
-            for module_id in view.ranked_candidates()
-            if view.suspicion[module_id] >= self.bound
-        ]
-        return suspects[: view.allowance]
-
-    # a tick with a still-suspect module (e.g. budget ran dry earlier)
-    # is also an opportunity to act
-    def on_tick(self, view: PolicyView) -> list[int]:
-        return self.on_round(view)
-
-
-def make_policy(name: str, **kwargs) -> RejuvenationPolicy:
-    """Instantiate a policy by its CLI name (``periodic``/``threshold``/``targeted``)."""
-    registry: dict[str, type[RejuvenationPolicy]] = {
-        PeriodicPolicy.name: PeriodicPolicy,
-        ThresholdPolicy.name: ThresholdPolicy,
-        TargetedPolicy.name: TargetedPolicy,
-    }
-    if name not in registry:
+def make_policy(name: str, **options) -> MonitorConfig:
+    """The :class:`MonitorConfig` of a ``repro monitor`` policy name."""
+    if name not in POLICY_MODES:
         raise ValueError(
-            f"unknown policy {name!r}; valid names: {', '.join(sorted(registry))}"
+            f"unknown policy {name!r}; valid names: {', '.join(sorted(POLICY_MODES))}"
         )
-    return registry[name](**kwargs)
+    return MonitorConfig(mode=POLICY_MODES[name], **options)
 
 
-POLICY_NAMES: tuple[str, ...] = (
-    PeriodicPolicy.name,
-    ThresholdPolicy.name,
-    TargetedPolicy.name,
-)
+def select_rejuvenations(
+    posterior: np.ndarray,
+    available: np.ndarray,
+    staleness: np.ndarray,
+    tokens: np.ndarray,
+    r: int,
+    bound: float | None = None,
+) -> np.ndarray:
+    """Which modules to rejuvenate now, as a ``(groups, n_modules)`` mask.
+
+    Per group, the available modules are ranked most suspect first;
+    ties (e.g. several posteriors pinned at ~0 right after resets)
+    break towards the *stalest* module, then the lowest id — a
+    deterministic round-robin that spreads blind rejuvenations.  With a
+    ``bound`` only posteriors at or above it are eligible.  Each group
+    takes the first ``min(tokens, max(0, r - down))`` eligible modules
+    of its ranking: the budget and guard g2, which counts modules
+    already failed or rejuvenating against ``r``.
+    """
+    groups, slots = posterior.shape
+    down = slots - available.sum(axis=1)
+    allowance = np.minimum(tokens, np.maximum(0, r - down))
+    suspicion = np.where(available, posterior, -np.inf)
+    eligible = available if bound is None else available & (suspicion >= bound)
+    rows = np.repeat(np.arange(groups), slots)
+    ids = np.tile(np.arange(slots), groups)
+    order = np.lexsort((ids, -staleness.ravel(), -suspicion.ravel(), rows))
+    columns = (order % slots).reshape(groups, slots)
+    row_index = np.arange(groups)[:, None]
+    eligible_ranked = eligible[row_index, columns]
+    taken_ranked = eligible_ranked & (
+        np.cumsum(eligible_ranked, axis=1) <= allowance[:, None]
+    )
+    commands = np.zeros_like(eligible)
+    commands[row_index, columns] = taken_ranked
+    return commands

@@ -1,4 +1,4 @@
-"""Per-module disagreement statistics over a sliding window of vote rounds.
+"""The per-round disagreement signal the health monitor observes.
 
 The rejuvenation mechanism of the paper is blind: it picks victims
 uniformly because "the system cannot tell healthy from compromised
@@ -6,27 +6,21 @@ apart".  But the voter *already* produces a discriminating observable
 every round: which modules landed outside the plurality label.  A
 healthy module deviates rarely (probability ≈ p, partially correlated
 through the dependent-error model); a compromised one deviates roughly
-every other round (probability p' = 0.5 at Table II defaults).  Counting
-deviations over a sliding window therefore separates the two hidden
-states without ever looking at ground truth.
+every other round (probability p' = 0.5 at Table II defaults).  The
+deviation history therefore separates the two hidden states without
+ever looking at ground truth.
 
 This module turns each :class:`~repro.simulation.voter.VoteTally` into a
 :class:`RoundSignal` (who participated, who deviated, how decisive the
-round was) and accumulates them in a :class:`DisagreementWindow` with
-O(1) per-round updates.  The window is the single source of the
-monitoring layer's observables; the Bayesian estimator
-(:mod:`repro.monitor.estimator`) consumes the per-round deviation flags,
-and the policies read the windowed rates.
+round was).  The Bayesian estimator (:mod:`repro.monitor.estimator`)
+consumes its per-round participation and deviation flags.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from repro.errors import SimulationError
 from repro.simulation.voter import VoteTally
-from repro.utils.validation import check_positive_int
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,7 @@ def round_signal(
     plurality label is itself wrong (a burst of common-mode errors), the
     correct modules are briefly flagged as deviating; that noise is the
     price of ground-truth-free monitoring and is absorbed by the
-    windowing and the estimator's likelihood model.
+    estimator's likelihood model.
     """
     participated = tuple(output is not None for output in outputs)
     if tally.winner is None:
@@ -76,80 +70,3 @@ def round_signal(
     return RoundSignal(
         time=time, participated=participated, deviated=deviated, margin=tally.margin
     )
-
-
-class DisagreementWindow:
-    """Sliding window of the last ``size`` round signals.
-
-    Maintains, incrementally, per-module participation and deviation
-    counts plus the margin sum — each :meth:`observe` is O(n_modules),
-    independent of the window size.
-    """
-
-    def __init__(self, n_modules: int, size: int = 256) -> None:
-        self.n_modules = check_positive_int("n_modules", n_modules)
-        self.size = check_positive_int("size", size)
-        self._rounds: deque[RoundSignal] = deque()
-        self._participations = [0] * n_modules
-        self._deviations = [0] * n_modules
-        self._margin_sum = 0
-
-    def __len__(self) -> int:
-        return len(self._rounds)
-
-    def observe(self, signal: RoundSignal) -> None:
-        """Add one round, evicting the oldest when the window is full."""
-        if len(signal.participated) != self.n_modules:
-            raise SimulationError(
-                f"signal covers {len(signal.participated)} modules, "
-                f"window expects {self.n_modules}"
-            )
-        if len(self._rounds) == self.size:
-            oldest = self._rounds.popleft()
-            for module_id in range(self.n_modules):
-                self._participations[module_id] -= oldest.participated[module_id]
-                self._deviations[module_id] -= oldest.deviated[module_id]
-            self._margin_sum -= oldest.margin
-        self._rounds.append(signal)
-        for module_id in range(self.n_modules):
-            self._participations[module_id] += signal.participated[module_id]
-            self._deviations[module_id] += signal.deviated[module_id]
-        self._margin_sum += signal.margin
-
-    def reset(self) -> None:
-        """Drop all accumulated rounds (fresh run)."""
-        self._rounds.clear()
-        self._participations = [0] * self.n_modules
-        self._deviations = [0] * self.n_modules
-        self._margin_sum = 0
-
-    # ------------------------------------------------------------------
-    # windowed statistics
-    # ------------------------------------------------------------------
-    def participations(self, module_id: int) -> int:
-        """Rounds in the window where ``module_id`` produced an output."""
-        return self._participations[module_id]
-
-    def deviations(self, module_id: int) -> int:
-        """Rounds in the window where ``module_id`` left the plurality."""
-        return self._deviations[module_id]
-
-    def deviation_rate(self, module_id: int) -> float:
-        """Deviations per participation (0.0 while unobserved)."""
-        participations = self._participations[module_id]
-        if participations == 0:
-            return 0.0
-        return self._deviations[module_id] / participations
-
-    def mean_margin(self) -> float:
-        """Average winning margin over the window (0.0 when empty)."""
-        if not self._rounds:
-            return 0.0
-        return self._margin_sum / len(self._rounds)
-
-    def snapshot(self) -> dict[int, tuple[int, int]]:
-        """Per-module (deviations, participations) counts, for reporting."""
-        return {
-            module_id: (self._deviations[module_id], self._participations[module_id])
-            for module_id in range(self.n_modules)
-        }

@@ -57,6 +57,10 @@ _BUCKET_CEILING = 128
 _UNDERFLOW_BUCKET = _BUCKET_FLOOR - 1
 
 
+#: Largest array :meth:`Histogram.observe_many` folds element by element.
+_SCALAR_FOLD = 8
+
+
 def _bucket_of(value: float) -> int:
     if value <= 0.0 or value < 2.0**_BUCKET_FLOOR:
         return _UNDERFLOW_BUCKET
@@ -107,11 +111,15 @@ class Histogram:
         *unique* value, so boundary rounding matches the scalar path
         bit for bit); only ``total`` may differ by float-summation
         order, the same caveat :meth:`MetricsRegistry.merge` carries.
+        Arrays of up to :data:`_SCALAR_FOLD` values go through
+        :meth:`observe` one by one, which is cheaper at that size.
         """
         import numpy  # deferred: keep the obs core stdlib-only on import
 
         array = numpy.asarray(values, dtype=float).ravel()
-        if array.size == 0:
+        if array.size <= _SCALAR_FOLD:
+            for value in array.tolist():
+                self.observe(value)
             return
         self.count += int(array.size)
         self.total += float(array.sum())

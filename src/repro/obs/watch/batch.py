@@ -89,15 +89,15 @@ def batch_watch_config(
     Arms the drift detector against ``target`` (the analytic Eq. 1
     value) and, when the run monitors, the consistency detector with
     the estimator's own deviate probabilities — the same constants
-    :class:`~repro.simulation.batch.monitor.BatchMonitor` uses.
+    :class:`~repro.monitor.estimator.HealthEstimator` uses.
     """
-    from repro.monitor.estimator import HealthEstimator
+    from repro.monitor.estimator import deviation_likelihoods
 
     fields: dict[str, Any] = dict(base.as_dict()) if base is not None else {}
     fields["target"] = target
     if config.monitor is not None:
-        reference = HealthEstimator(config.parameters)
-        fields["p_deviate_healthy"] = reference.p_deviate_healthy
-        fields["p_deviate_compromised"] = reference.p_deviate_compromised
+        healthy, compromised = deviation_likelihoods(config.parameters)
+        fields["p_deviate_healthy"] = healthy
+        fields["p_deviate_compromised"] = compromised
     fields.update(overrides)
     return WatchConfig.from_dict(fields)

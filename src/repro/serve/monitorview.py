@@ -10,7 +10,8 @@ renders everything :mod:`repro.monitor` knows into one JSON-able dict:
 * when a :class:`~repro.monitor.controller.MonitorController` is
   attached (:meth:`ReliabilityService.attach_monitor`): the Bayesian
   health estimator's per-module posterior, which modules are currently
-  *flagged* (posterior at or above the detection threshold), per-module
+  *flagged* (the monitor's own flag mask: posterior crossed the
+  detection threshold and has not crossed back), per-module
   availability, the policy identity and remaining rejuvenation budget,
   and the :class:`~repro.monitor.metrics.MonitorSummary` aggregates.
 
@@ -59,19 +60,23 @@ def monitor_snapshot(
     if controller is None:
         return payload
 
-    threshold = controller.metrics.detection_threshold
-    modules = []
-    for module_id in range(controller.parameters.n_modules):
-        available = controller.availability[module_id]
-        posterior = controller.estimator.probability_compromised(module_id)
-        modules.append(
-            {
-                "module": module_id,
-                "available": available,
-                "posterior": posterior,
-                "flagged": bool(available and posterior >= threshold),
-            }
+    core = controller.core
+    threshold = controller.config.detection_threshold
+    modules = [
+        {
+            "module": module_id,
+            "available": available,
+            "posterior": posterior if available else None,
+            "flagged": flagged,
+        }
+        for module_id, (available, posterior, flagged) in enumerate(
+            zip(
+                core.estimator.available[0].tolist(),
+                core.estimator.posterior[0].tolist(),
+                core.metrics.flagged[0].tolist(),
+            )
         )
+    ]
     summary = controller.summary()
     payload.update(
         {
@@ -79,9 +84,9 @@ def monitor_snapshot(
             "modules": modules,
             "flagged": [m["module"] for m in modules if m["flagged"]],
             "policy": {
-                "name": controller.policy.name,
-                "passive": controller.policy.passive,
-                "budget_tokens": controller.budget.tokens,
+                "name": controller.config.policy,
+                "passive": not controller.drives_clock,
+                "budget_tokens": int(core.tokens[0]),
             },
             "summary": {
                 **asdict(summary),

@@ -4,18 +4,21 @@ Public surface:
 
 * :func:`~repro.simulation.batch.runtime.simulate_batch` — the numpy
   firehose: thousands of replica groups per chunk, millions of
-  simulated requests per second, online monitoring.
+  simulated requests per second, online monitoring by one
+  :class:`~repro.monitor.core.HealthMonitor` per chunk (the same core
+  :class:`~repro.monitor.controller.MonitorController` drives at
+  groups=1).
 * :func:`~repro.simulation.batch.reference.simulate_reference` — the
   scalar interpreter of the same semantics through the trusted
   event-loop components; the differential suite proves the two
   identical on every shared seed schedule.
 * :class:`~repro.simulation.batch.runtime.BatchConfig` /
-  :class:`~repro.simulation.batch.monitor.BatchMonitorConfig` — the
-  picklable run descriptions.
+  ``BatchMonitorConfig`` (:class:`~repro.monitor.policies.MonitorConfig`)
+  — the picklable run descriptions; ``BatchMonitorReport`` is
+  :class:`~repro.monitor.metrics.MonitorReport`.
 """
 
 from repro.simulation.batch.monitor import (
-    BatchMonitor,
     BatchMonitorConfig,
     BatchMonitorReport,
 )
@@ -37,7 +40,6 @@ from repro.simulation.batch.voter import (
 
 __all__ = [
     "BatchConfig",
-    "BatchMonitor",
     "BatchMonitorConfig",
     "BatchMonitorReport",
     "BatchReport",

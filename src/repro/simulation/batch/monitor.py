@@ -1,423 +1,16 @@
-"""Vectorized online monitoring over the batch firehose.
+"""The batch runtime's names for the health monitor's config and report.
 
-:class:`BatchMonitor` is the array counterpart of one
-:class:`~repro.monitor.controller.MonitorController` *per replica
-group*, folded into ``(groups, n_modules)`` state arrays: the Bayesian
-health filter of :mod:`repro.monitor.estimator`, the budgeted
-threshold/targeted policies of :mod:`repro.monitor.policies`, and the
-ground-truth quality metrics of :mod:`repro.monitor.metrics` — all
-updated for every group in one round with a handful of array ops.
-
-The implementation mirrors the scalar controller operation for
-operation (same expressions, same ordering, ``math``-module
-exponentials on the same scalar inputs), so the posterior trajectory
-and every ``monitor.*`` counter agree with running one scalar
-controller per group over the same seed schedule — that equivalence is
-what ``tests/simulation/test_batch_monitor.py`` proves.  Two deliberate
-departures from the scalar path: per-module ``monitor.flag`` /
-``monitor.unflag`` / ``monitor.rejuvenation`` *events* are not emitted
-(at firehose rates they would dominate the event stream; counters carry
-the same totals), and the rolling-reliability window is not maintained
-(the cumulative rate is).
+The monitor itself is :class:`repro.monitor.core.HealthMonitor`, which
+the batch runtime drives over each chunk's ``(groups, n_modules)``
+arrays; these aliases keep the batch vocabulary.
 """
 
-from __future__ import annotations
+from repro.monitor.metrics import MonitorReport as BatchMonitorReport
+from repro.monitor.metrics import merge_monitor_reports
+from repro.monitor.policies import MonitorConfig as BatchMonitorConfig
 
-import math
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.errors import SimulationError
-from repro.monitor.estimator import HealthEstimator
-from repro.monitor.metrics import MonitorSummary
-from repro.obs import counter as obs_counter
-from repro.obs import histogram as obs_histogram
-from repro.perception.parameters import PerceptionParameters
-from repro.simulation.batch.schedule import (
-    STATE_COMPROMISED,
-    STATE_HEALTHY,
-)
-from repro.simulation.batch.voter import OUTCOME_ERROR
-
-#: Monitor operating modes.  ``observe`` is the passive baseline (the
-#: runtime keeps its built-in periodic clock; the monitor only watches),
-#: ``targeted`` and ``threshold`` replace the clock with the
-#: corresponding active policy.
-MONITOR_MODES = ("observe", "targeted", "threshold")
-
-
-@dataclass(frozen=True)
-class BatchMonitorConfig:
-    """Monitoring configuration of a batch run (picklable)."""
-
-    mode: str = "observe"
-    #: Posterior bound of the threshold policy.
-    bound: float = 0.9
-    #: Posterior bound above which a module counts as flagged.
-    detection_threshold: float = 0.5
-    #: Token-bucket cap for active policies (defaults to ``r``).
-    budget_cap: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in MONITOR_MODES:
-            raise SimulationError(
-                f"unknown monitor mode {self.mode!r}; valid modes: "
-                f"{', '.join(MONITOR_MODES)}"
-            )
-
-    @property
-    def drives_clock(self) -> bool:
-        return self.mode != "observe"
-
-
-@dataclass(frozen=True)
-class BatchMonitorReport:
-    """Final monitoring state and quality totals of a batch run.
-
-    Arrays are ``(groups, n_modules)``; ``posterior`` holds NaN for
-    modules that ended the run unavailable (the array form of the
-    estimator's ``None``).
-    """
-
-    posterior: np.ndarray
-    available: np.ndarray
-    flagged: np.ndarray
-    compromises: int
-    detected: int
-    censored: int
-    false_alarms: int
-    flags: int
-    latency_sum: float
-    latency_max: float | None
-    triggers: int
-    false_triggers: int
-    rounds: int
-    errors: int
-
-    def summary(self) -> MonitorSummary:
-        """The totals as a :class:`MonitorSummary` (fleet aggregate).
-
-        ``rolling_reliability`` repeats the cumulative rate — the batch
-        monitor keeps no per-group rolling window.
-        """
-        return MonitorSummary(
-            compromises=self.compromises,
-            detected=self.detected,
-            censored=self.censored,
-            false_alarms=self.false_alarms,
-            mean_detection_latency=(
-                self.latency_sum / self.detected if self.detected else None
-            ),
-            max_detection_latency=self.latency_max,
-            triggers=self.triggers,
-            false_triggers=self.false_triggers,
-            rounds=self.rounds,
-            errors=self.errors,
-            rolling_reliability=(
-                1.0 - self.errors / self.rounds if self.rounds else 1.0
-            ),
-            empirical_reliability=(
-                1.0 - self.errors / self.rounds if self.rounds else 1.0
-            ),
-        )
-
-
-def merge_monitor_reports(
-    reports: "list[BatchMonitorReport]",
-) -> BatchMonitorReport:
-    """Concatenate per-chunk reports into one fleet-wide report."""
-    maxima = [r.latency_max for r in reports if r.latency_max is not None]
-    return BatchMonitorReport(
-        posterior=np.concatenate([r.posterior for r in reports]),
-        available=np.concatenate([r.available for r in reports]),
-        flagged=np.concatenate([r.flagged for r in reports]),
-        compromises=sum(r.compromises for r in reports),
-        detected=sum(r.detected for r in reports),
-        censored=sum(r.censored for r in reports),
-        false_alarms=sum(r.false_alarms for r in reports),
-        flags=sum(r.flags for r in reports),
-        latency_sum=sum(r.latency_sum for r in reports),
-        latency_max=max(maxima) if maxima else None,
-        triggers=sum(r.triggers for r in reports),
-        false_triggers=sum(r.false_triggers for r in reports),
-        rounds=sum(r.rounds for r in reports),
-        errors=sum(r.errors for r in reports),
-    )
-
-
-class BatchMonitor:
-    """One chunk's worth of per-group monitor state, array-resident."""
-
-    def __init__(
-        self,
-        parameters: PerceptionParameters,
-        config: BatchMonitorConfig,
-        n_groups: int,
-    ) -> None:
-        # Reuse the scalar estimator's validation and derived constants
-        # so both paths share likelihoods and prior hazards bit for bit.
-        reference = HealthEstimator(parameters)
-        self.p_dc = reference.p_deviate_compromised
-        self.p_dh = reference.p_deviate_healthy
-        self.compromise_rate = reference.compromise_rate
-        self.failure_rate = reference.failure_rate
-        self.parameters = parameters
-        self.config = config
-        self.r = parameters.r
-        self.budget_rate = parameters.r
-        self.budget_cap = (
-            config.budget_cap if config.budget_cap is not None else parameters.r
-        )
-        g, n = n_groups, parameters.n_modules
-        # estimator state (NaN posterior = unavailable, the scalar None)
-        self.posterior = np.zeros((g, n))
-        self.last_update = np.zeros((g, n))
-        self.last_reset = np.zeros((g, n))
-        self.available = np.ones((g, n), dtype=bool)
-        # metrics bookkeeping (NaN since = no open compromise episode)
-        self.flagged = np.zeros((g, n), dtype=bool)
-        self.detected_mask = np.zeros((g, n), dtype=bool)
-        self.since = np.full((g, n), np.nan)
-        self.tokens = np.zeros(g, dtype=np.int64)
-        # quality totals
-        self.compromises = 0
-        self.detected = 0
-        self.censored = 0
-        self.false_alarms = 0
-        self.flags = 0
-        self.latency_sum = 0.0
-        self.latency_max: float | None = None
-        self.triggers = 0
-        self.false_triggers = 0
-        self.rounds = 0
-        self.errors = 0
-
-    @property
-    def drives_clock(self) -> bool:
-        return self.config.drives_clock
-
-    # ------------------------------------------------------------------
-    # estimator core
-    # ------------------------------------------------------------------
-    def _predict(self, now: float, mask: np.ndarray) -> None:
-        """Propagate masked beliefs to ``now`` (scalar ``_predict``).
-
-        The elapsed times take at most a few distinct values per round
-        (0, one round period, occasionally a tick gap), so the
-        exponential factors are computed once per distinct value with
-        ``math.exp`` — the same call the scalar filter makes — keeping
-        the posteriors bit-identical to the per-module path.
-        """
-        elapsed = now - self.last_update
-        advance = mask & (elapsed > 0.0)
-        if advance.any():
-            for dt in np.unique(elapsed[advance]).tolist():
-                where = advance & (elapsed == dt)
-                leak = 1.0 - math.exp(-self.compromise_rate * dt)
-                decay = math.exp(-self.failure_rate * dt)
-                c = self.posterior[where]
-                h = 1.0 - c
-                c_next = c * decay + h * leak
-                h_next = h * (1.0 - leak)
-                self.posterior[where] = c_next / (c_next + h_next)
-        self.last_update[mask] = now
-
-    def _sync_availability(self, now: float, operational: np.ndarray) -> None:
-        """Reconcile observed availability (scalar ``_sync_availability``)."""
-        went_down = self.available & ~operational
-        came_back = ~self.available & operational
-        self.posterior[went_down] = np.nan
-        self.last_update[went_down] = now
-        self.posterior[came_back] = 0.0
-        self.last_update[came_back] = now
-        self.last_reset[came_back] = now
-        self.available = operational.copy()
-
-    # ------------------------------------------------------------------
-    # observer hooks (called by the batch runtime)
-    # ------------------------------------------------------------------
-    def observe_round(
-        self,
-        now: float,
-        participated: np.ndarray,
-        deviated: np.ndarray,
-        outcomes: np.ndarray,
-    ) -> "np.ndarray | None":
-        """Fold one vote round in; return a start mask for threshold mode."""
-        self._sync_availability(now, participated)
-        threshold = self.config.detection_threshold
-        # crossing detection compares the *pre-predict* posterior with
-        # the post-update one, exactly like the scalar controller
-        before = self.posterior.copy()
-        self._predict(now, participated)
-        c = self.posterior
-        numerator = np.where(
-            deviated, c * self.p_dc, c * (1.0 - self.p_dc)
-        )
-        denominator = numerator + np.where(
-            deviated,
-            (1.0 - c) * self.p_dh,
-            (1.0 - c) * (1.0 - self.p_dh),
-        )
-        self.posterior = np.where(
-            participated, numerator / denominator, self.posterior
-        )
-        crossed_up = (
-            participated & (before < threshold) & (self.posterior >= threshold)
-        )
-        crossed_down = (
-            participated & (self.posterior < threshold) & (before >= threshold)
-        )
-        self._record_flags(now, crossed_up)
-        self.flagged &= ~crossed_down
-        updates = int(participated.sum())
-        if updates:
-            obs_counter("monitor.estimator.updates").inc(updates)
-        participants = participated.sum(axis=1)
-        fractions = np.where(
-            participants > 0,
-            deviated.sum(axis=1) / np.maximum(participants, 1),
-            0.0,
-        )
-        obs_histogram("monitor.disagreement").observe_many(fractions)
-        groups = participated.shape[0]
-        obs_counter("monitor.rounds").inc(groups)
-        errors = int((outcomes == OUTCOME_ERROR).sum())
-        if errors:
-            obs_counter("monitor.errors").inc(errors)
-        self.rounds += groups
-        self.errors += errors
-        if self.config.mode == "threshold":
-            return self._select(now, require_bound=True)
-        return None
-
-    def on_tick(self, now: float, state: np.ndarray) -> "np.ndarray | None":
-        """A rejuvenation-clock tick: accrue budget, consult the policy."""
-        self.tokens = np.minimum(self.budget_cap, self.tokens + self.budget_rate)
-        operational = (state == STATE_HEALTHY) | (state == STATE_COMPROMISED)
-        self._sync_availability(now, operational)
-        if not self.drives_clock:
-            return None
-        return self._select(
-            now, require_bound=(self.config.mode == "threshold")
-        )
-
-    def record_transition(
-        self, now: float, kind: str, mask: np.ndarray
-    ) -> None:
-        """Ground-truth transitions (scalar ``record_transition``)."""
-        if kind == "compromise":
-            count = int(mask.sum())
-            self.compromises += count
-            obs_counter("monitor.compromises").inc(count)
-            while_flagged = mask & self.flagged
-            instant = int(while_flagged.sum())
-            if instant:
-                # already-suspicious modules: detected at latency zero
-                self.detected_mask |= while_flagged
-                self.detected += instant
-                self.latency_max = max(self.latency_max or 0.0, 0.0)
-            self.since = np.where(mask & ~self.flagged, now, self.since)
-            return
-        if kind in ("fail", "rejuvenation-start"):
-            if kind == "rejuvenation-start":
-                count = int(mask.sum())
-                self.triggers += count
-                obs_counter("monitor.rejuvenations").inc(count)
-                justified = mask & (~np.isnan(self.since) | self.detected_mask)
-                false = count - int(justified.sum())
-                if false:
-                    self.false_triggers += false
-                    obs_counter("monitor.rejuvenations.false").inc(false)
-            self.censored += int((mask & ~np.isnan(self.since)).sum())
-        self.since[mask] = np.nan
-        self.flagged &= ~mask
-        self.detected_mask &= ~mask
-
-    # ------------------------------------------------------------------
-    # decision plumbing
-    # ------------------------------------------------------------------
-    def _record_flags(self, now: float, crossed_up: np.ndarray) -> None:
-        new_flags = crossed_up & ~self.flagged
-        count = int(new_flags.sum())
-        if not count:
-            return
-        self.flagged |= new_flags
-        obs_counter("monitor.flags").inc(count)
-        self.flags += count
-        caught = new_flags & ~np.isnan(self.since)
-        n_caught = int(caught.sum())
-        if n_caught:
-            latencies = now - self.since[caught]
-            self.detected_mask |= caught
-            self.detected += n_caught
-            self.latency_sum += float(latencies.sum())
-            self.latency_max = max(
-                self.latency_max if self.latency_max is not None else -math.inf,
-                float(latencies.max()),
-            )
-            self.since[caught] = np.nan
-        false_alarms = count - n_caught
-        if false_alarms:
-            self.false_alarms += false_alarms
-            obs_counter("monitor.false_alarms").inc(false_alarms)
-
-    def _select(self, now: float, *, require_bound: bool) -> np.ndarray:
-        """Policy ranking + budget/guard clamping + issue, per group.
-
-        Mirrors ``PolicyView.ranked_candidates`` (sort by descending
-        suspicion, then descending staleness, then ascending id) and
-        ``allowance = min(budget_tokens, max(0, r - down))``; issued
-        modules immediately go unavailable in the filter, matching
-        ``MonitorController._issue``.
-        """
-        groups, slots = self.posterior.shape
-        # view semantics: the scalar _view propagates every available
-        # module's belief to `now` before ranking
-        self._predict(now, self.available)
-        down = (~self.available).sum(axis=1)
-        allowance = np.minimum(self.tokens, np.maximum(0, self.r - down))
-        suspicion = np.where(self.available, self.posterior, -np.inf)
-        staleness = now - self.last_reset
-        eligible = self.available.copy()
-        if require_bound:
-            eligible &= suspicion >= self.config.bound
-        rows = np.repeat(np.arange(groups), slots)
-        ids = np.tile(np.arange(slots), groups)
-        order = np.lexsort(
-            (ids, -staleness.ravel(), -suspicion.ravel(), rows)
-        )
-        columns = (order % slots).reshape(groups, slots)
-        row_index = np.arange(groups)[:, None]
-        eligible_ranked = eligible[row_index, columns]
-        taken_ranked = eligible_ranked & (
-            np.cumsum(eligible_ranked, axis=1) <= allowance[:, None]
-        )
-        commands = np.zeros_like(eligible)
-        commands[row_index, columns] = taken_ranked
-        spent = commands.sum(axis=1)
-        self.tokens -= spent
-        # issue: the module goes down without waiting for the next round
-        self.available &= ~commands
-        self.posterior[commands] = np.nan
-        self.last_update[commands] = now
-        return commands
-
-    def report(self) -> BatchMonitorReport:
-        return BatchMonitorReport(
-            posterior=self.posterior,
-            available=self.available,
-            flagged=self.flagged,
-            compromises=self.compromises,
-            detected=self.detected,
-            censored=self.censored,
-            false_alarms=self.false_alarms,
-            flags=self.flags,
-            latency_sum=self.latency_sum,
-            latency_max=self.latency_max,
-            triggers=self.triggers,
-            false_triggers=self.false_triggers,
-            rounds=self.rounds,
-            errors=self.errors,
-        )
+__all__ = [
+    "BatchMonitorConfig",
+    "BatchMonitorReport",
+    "merge_monitor_reports",
+]

@@ -11,9 +11,9 @@ time, *through the existing scalar components*:
   :class:`~repro.simulation.modules.MLModule`'s guarded state machine,
 * vote tallying/classification via
   :class:`~repro.simulation.voter.Voter` (the event-loop's voter),
-* monitoring via a real
-  :class:`~repro.monitor.controller.MonitorController` per group —
-  the genuine estimator, policies, budget, and metrics objects.
+* monitoring via one
+  :class:`~repro.monitor.controller.MonitorController` per group — the
+  event-loop adapter, driving a one-group health monitor.
 
 Any divergence between :func:`simulate_reference` and
 :func:`simulate_batch` on the same :class:`BatchConfig` is therefore a
@@ -28,9 +28,11 @@ import time as _time
 import numpy as np
 
 from repro.monitor.controller import MonitorController
-from repro.monitor.policies import make_policy
 from repro.obs.metrics import active_registry, registry_override
-from repro.simulation.batch.monitor import BatchMonitorReport
+from repro.simulation.batch.monitor import (
+    BatchMonitorReport,
+    merge_monitor_reports,
+)
 from repro.simulation.batch.runtime import (
     TRANSITION_KINDS,
     BatchConfig,
@@ -89,19 +91,11 @@ class _ReferenceGroup:
         self.pending = 0
         self.transitions = {kind: 0 for kind in TRANSITION_KINDS}
         self.rejuvenations: "list[int]" = []
-        self.controller: "MonitorController | None" = None
-        if config.monitor is not None:
-            mc = config.monitor
-            policy = make_policy(
-                "periodic" if mc.mode == "observe" else mc.mode,
-                **({"bound": mc.bound} if mc.mode == "threshold" else {}),
-            )
-            self.controller = MonitorController(
-                params,
-                policy,
-                detection_threshold=mc.detection_threshold,
-                budget_cap=mc.budget_cap,
-            )
+        self.controller = (
+            MonitorController(params, config.monitor)
+            if config.monitor is not None
+            else None
+        )
 
     # -- helpers -------------------------------------------------------
     def _budget_used(self) -> int:
@@ -267,55 +261,6 @@ class _ReferenceGroup:
         return CODE_OF_OUTCOME[outcome]
 
 
-def _monitor_report_of(
-    groups: "list[_ReferenceGroup]", registry
-) -> BatchMonitorReport:
-    """Assemble the chunk's monitor report from the real controllers."""
-    n = groups[0].params.n_modules
-    posterior = np.full((len(groups), n), np.nan)
-    available = np.zeros((len(groups), n), dtype=bool)
-    flagged = np.zeros((len(groups), n), dtype=bool)
-    latencies: "list[float]" = []
-    compromises = detected = censored = false_alarms = 0
-    triggers = false_triggers = rounds = errors = 0
-    for gi, group in enumerate(groups):
-        controller = group.controller
-        metrics = controller.metrics
-        for m in range(n):
-            probability = controller.estimator.probability_compromised(m)
-            if probability is not None:
-                posterior[gi, m] = probability
-            available[gi, m] = controller._available[m]
-            flagged[gi, m] = m in metrics._flagged
-        latencies.extend(metrics.detection_latencies)
-        compromises += metrics.compromises
-        detected += len(metrics.detection_latencies)
-        censored += metrics.censored
-        false_alarms += metrics.false_alarms
-        triggers += len(metrics.triggers)
-        false_triggers += sum(
-            1 for trigger in metrics.triggers if not trigger.was_compromised
-        )
-        rounds += metrics.rounds
-        errors += metrics.errors
-    return BatchMonitorReport(
-        posterior=posterior,
-        available=available,
-        flagged=flagged,
-        compromises=compromises,
-        detected=detected,
-        censored=censored,
-        false_alarms=false_alarms,
-        flags=int(registry.counter("monitor.flags").value),
-        latency_sum=float(sum(latencies)),
-        latency_max=max(latencies) if latencies else None,
-        triggers=triggers,
-        false_triggers=false_triggers,
-        rounds=rounds,
-        errors=errors,
-    )
-
-
 def simulate_reference(config: BatchConfig) -> BatchReport:
     """Interpret the batch semantics with the scalar components."""
     from repro.simulation.batch.voter import (
@@ -354,7 +299,11 @@ def simulate_reference(config: BatchConfig) -> BatchReport:
                             (k, offset + gi, module_id)
                         )
             if config.monitor is not None:
-                chunk_monitors.append(_monitor_report_of(groups, registry))
+                chunk_monitors.append(
+                    merge_monitor_reports(
+                        [group.controller.core.report() for group in groups]
+                    )
+                )
         snapshots.append(registry.snapshot())
         chunk_outcomes.append(outcomes)
         chunk_transitions.append(
@@ -379,8 +328,6 @@ def simulate_reference(config: BatchConfig) -> BatchReport:
         kind: np.concatenate([chunk[kind] for chunk in chunk_transitions])
         for kind in TRANSITION_KINDS
     }
-    from repro.simulation.batch.monitor import merge_monitor_reports
-
     wall = _time.perf_counter() - started_at
     measured_rounds = config.rounds - config.warmup_rounds
     requests = measured_rounds * config.groups

@@ -49,13 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.monitor.core import HealthMonitor
 from repro.obs import counter as obs_counter
 from repro.obs import span
 from repro.obs.events import emit as emit_event
 from repro.obs.metrics import active_registry, registry_override
 from repro.perception.parameters import PerceptionParameters
 from repro.simulation.batch.monitor import (
-    BatchMonitor,
     BatchMonitorConfig,
     BatchMonitorReport,
     merge_monitor_reports,
@@ -320,7 +320,7 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
     rejuvenations: "list[tuple[int, int, int]]" = []
 
     monitor = (
-        BatchMonitor(params, config.monitor, g)
+        HealthMonitor(params, config.monitor, g)
         if config.monitor is not None
         else None
     )
@@ -388,7 +388,10 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
             is_tick = (k + 1) % ticks_every == 0
             if monitor_drives:
                 if is_tick:
-                    commands = monitor.on_tick(now, state)
+                    commands = monitor.on_tick(
+                        now,
+                        (state == STATE_HEALTHY) | (state == STATE_COMPROMISED),
+                    )
                     if commands is not None and commands.any():
                         start_rejuvenation(commands, now, k)
             else:
@@ -489,12 +492,15 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
                 round_deviations[k] = int(deviated.sum())
                 round_participants[k] = int(participated.sum())
             commands = monitor.observe_round(
-                now, participated, deviated, outcome
+                now,
+                participated,
+                deviated,
+                int(np.count_nonzero(outcome == OUTCOME_ERROR)),
             )
             if commands is not None and commands.any():
                 start_rejuvenation(commands, now, k)
             if round_flagged is not None:
-                round_flagged[k] = int(monitor.flagged.sum())
+                round_flagged[k] = int(monitor.metrics.flagged.sum())
 
     return _ChunkResult(
         chunk_index=chunk_index,

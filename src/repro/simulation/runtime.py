@@ -22,6 +22,7 @@ via the ``monitor`` argument.  The runtime then feeds it every vote
 round and every module-state transition through observer hooks, and —
 when the controller's policy is active — executes the rejuvenation
 commands it returns instead of running the built-in periodic clock.
+The monitor's prior hazards follow the runtime's ``fault_semantics``.
 With a *passive* policy the monitor observes without perturbing the
 event or RNG streams, so monitored and unmonitored runs with the same
 seed produce identical traces.
@@ -240,7 +241,7 @@ class PerceptionRuntime:
         occupancy = StateOccupancy(seed=self.seed) if collect_occupancy else None
         occupancy_clock = warmup
         if self.monitor is not None:
-            self.monitor.begin_run()
+            self.monitor.begin_run(self.injector.semantics)
         monitor_drives = self.monitor is not None and self.monitor.drives_clock
 
         def record_dwell(up_to: float) -> None:

@@ -17,7 +17,6 @@ import pytest
 from repro.monitor import (
     HealthEstimator,
     MonitorController,
-    PeriodicPolicy,
     healthy_deviation_probability,
     per_module_compromise_rate,
 )
@@ -36,7 +35,7 @@ def parameters():
 @pytest.fixture(scope="module")
 def monitored_occupancy(parameters):
     """One long monitored run, shared across the occupancy tests."""
-    monitor = MonitorController(parameters, PeriodicPolicy())
+    monitor = MonitorController(parameters)
     runtime = PerceptionRuntime(
         parameters, request_period=25.0, seed=2023, monitor=monitor
     )
@@ -122,8 +121,7 @@ class TestEstimatorPriorConsistency:
         drift cannot invent more suspicion than the model's dynamics."""
         estimator = HealthEstimator(parameters)
         # one rejuvenation interval without any vote evidence
-        drifted = estimator.probability_compromised(
-            0, now=parameters.rejuvenation_interval
-        )
+        estimator.predict(parameters.rejuvenation_interval)
+        drifted = estimator.posterior[0, 0]
         hazard = estimator.compromise_rate * parameters.rejuvenation_interval
         assert 0.0 < drifted < 2 * hazard

@@ -1,17 +1,15 @@
-"""Tests for the monitor controller (observer hooks and decision plumbing)."""
+"""Tests for the monitor controller (the event-loop adapter)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.monitor.controller import MonitorController
-from repro.monitor.policies import (
-    PeriodicPolicy,
-    RejuvenationPolicy,
-    TargetedPolicy,
-    ThresholdPolicy,
-)
+from repro.monitor.estimator import per_module_compromise_rate
+from repro.monitor.policies import MonitorConfig
 from repro.nversion.voting import VotingScheme
 from repro.perception.parameters import PerceptionParameters
+from repro.simulation import FaultSemantics, PerceptionRuntime
 from repro.simulation.voter import Voter
 
 
@@ -28,23 +26,23 @@ def feed_round(controller, now, outputs, truth=0):
 
 class TestConstruction:
     def test_passive_controller_does_not_drive_clock(self, parameters):
-        controller = MonitorController(parameters, PeriodicPolicy())
+        controller = MonitorController(parameters)
         assert not controller.drives_clock
 
     def test_active_policy_requires_rejuvenation(self, parameters):
         disabled = parameters.replace(rejuvenation=False)
         with pytest.raises(SimulationError, match="rejuvenation disabled"):
-            MonitorController(disabled, ThresholdPolicy())
+            MonitorController(disabled, MonitorConfig(mode="threshold"))
 
     def test_passive_policy_tolerates_disabled_rejuvenation(self, parameters):
         disabled = parameters.replace(rejuvenation=False)
-        controller = MonitorController(disabled, PeriodicPolicy())
+        controller = MonitorController(disabled)
         assert controller.on_tick(600.0) == []
 
 
 class TestPassiveObservation:
     def test_rounds_return_no_commands(self, parameters):
-        controller = MonitorController(parameters, PeriodicPolicy())
+        controller = MonitorController(parameters)
         controller.begin_run()
         n = parameters.n_modules
         commands = feed_round(controller, 1.0, [0] * (n - 1) + [7])
@@ -52,26 +50,29 @@ class TestPassiveObservation:
         assert controller.on_tick(600.0) == []
 
     def test_estimator_sees_deviations(self, parameters):
-        controller = MonitorController(parameters, PeriodicPolicy())
+        controller = MonitorController(parameters)
         controller.begin_run()
         n = parameters.n_modules
         for i in range(30):
             feed_round(controller, float(i + 1), [0] * (n - 1) + [7])
-        suspicion = controller.estimator.suspicion()
-        assert suspicion[n - 1] > 0.9
-        assert all(suspicion[m] < 0.5 for m in range(n - 1))
+        posterior = controller.core.estimator.posterior[0]
+        assert posterior[n - 1] > 0.9
+        assert (posterior[: n - 1] < 0.5).all()
 
     def test_missing_output_marks_module_unavailable(self, parameters):
-        controller = MonitorController(parameters, PeriodicPolicy())
+        controller = MonitorController(parameters)
         controller.begin_run()
         n = parameters.n_modules
+        estimator = controller.core.estimator
         feed_round(controller, 1.0, [None] + [0] * (n - 1))
-        assert controller.estimator.probability_compromised(0) is None
+        assert not estimator.available[0, 0]
+        assert np.isnan(estimator.posterior[0, 0])
         feed_round(controller, 2.0, [0] * n)
-        assert controller.estimator.probability_compromised(0) == 0.0
+        assert estimator.available[0, 0]
+        assert estimator.posterior[0, 0] == 0.0
 
     def test_metrics_observe_rounds_and_transitions(self, parameters):
-        controller = MonitorController(parameters, PeriodicPolicy())
+        controller = MonitorController(parameters)
         controller.begin_run()
         n = parameters.n_modules
         feed_round(controller, 1.0, [0] * n)
@@ -84,7 +85,8 @@ class TestPassiveObservation:
 class TestActiveControl:
     def make_threshold_controller(self, parameters):
         controller = MonitorController(
-            parameters, ThresholdPolicy(bound=0.9), detection_threshold=0.9
+            parameters,
+            MonitorConfig(mode="threshold", bound=0.9, detection_threshold=0.9),
         )
         controller.begin_run()
         return controller
@@ -116,7 +118,7 @@ class TestActiveControl:
         assert commands == [n - 1]
 
     def test_targeted_policy_spends_tick_allowance(self, parameters):
-        controller = MonitorController(parameters, TargetedPolicy())
+        controller = MonitorController(parameters, MonitorConfig(mode="targeted"))
         controller.begin_run()
         n = parameters.n_modules
         for i in range(30):
@@ -128,39 +130,8 @@ class TestActiveControl:
         operational = [True] * parameters.n_modules
         operational[2] = False
         controller.on_tick(600.0, operational)
-        assert controller.estimator.probability_compromised(2) is None
-
-    def test_rogue_policy_cannot_overspend(self, parameters):
-        class RoguePolicy(RejuvenationPolicy):
-            name = "rogue"
-
-            def on_tick(self, view):
-                return [0, 1, 2, 3]
-
-            def on_round(self, view):
-                return []
-
-        controller = MonitorController(parameters, RoguePolicy())
-        controller.begin_run()
-        with pytest.raises(SimulationError, match="overspent"):
-            controller.on_tick(600.0)
-
-    def test_rogue_policy_cannot_select_unavailable(self, parameters):
-        class RoguePolicy(RejuvenationPolicy):
-            name = "rogue"
-
-            def on_tick(self, view):
-                return [2]
-
-            def on_round(self, view):
-                return []
-
-        controller = MonitorController(parameters, RoguePolicy())
-        controller.begin_run()
-        operational = [True] * parameters.n_modules
-        operational[2] = False
-        with pytest.raises(SimulationError, match="unavailable"):
-            controller.on_tick(600.0, operational)
+        assert not controller.core.estimator.available[0, 2]
+        assert np.isnan(controller.core.estimator.posterior[0, 2])
 
     def test_begin_run_restores_fresh_state(self, parameters):
         controller = self.make_threshold_controller(parameters)
@@ -169,6 +140,26 @@ class TestActiveControl:
             feed_round(controller, float(i + 1), [0] * (n - 1) + [7])
         controller.on_tick(600.0)
         controller.begin_run()
-        assert controller.budget.tokens == 0
-        assert controller.estimator.probability_compromised(n - 1) == 0.0
+        assert controller.core.tokens[0] == 0
+        assert controller.core.estimator.posterior[0, n - 1] == 0.0
         assert controller.summary().rounds == 0
+
+
+class TestFaultSemantics:
+    def test_begin_run_takes_the_runtime_semantics(self, parameters):
+        controller = MonitorController(parameters)
+        runtime = PerceptionRuntime(
+            parameters,
+            request_period=1.0,
+            seed=3,
+            fault_semantics=FaultSemantics.PER_MODULE,
+            monitor=controller,
+        )
+        runtime.run(5.0)
+        assert controller.core.estimator.compromise_rate == (
+            per_module_compromise_rate(parameters, FaultSemantics.PER_MODULE)
+        )
+        controller.begin_run()
+        assert controller.core.estimator.compromise_rate == (
+            per_module_compromise_rate(parameters, FaultSemantics.CHANNEL)
+        )

@@ -1,10 +1,12 @@
 """Tests for the Bayesian health estimator."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.monitor.estimator import (
     HealthEstimator,
+    deviation_likelihoods,
     healthy_deviation_probability,
     per_module_compromise_rate,
 )
@@ -15,6 +17,24 @@ from repro.simulation.faults import FaultSemantics
 @pytest.fixture
 def parameters():
     return PerceptionParameters.six_version_defaults()
+
+
+def observe(estimator, deviated, now, module=0, operational=None):
+    """One round with every module (or ``operational``) voting;
+    ``module`` deviates or not.  Returns its posterior."""
+    n = estimator.posterior.shape[1]
+    up = np.ones((1, n), dtype=bool) if operational is None else operational
+    flags = np.zeros((1, n), dtype=bool)
+    flags[0, module] = deviated
+    estimator.sync(now, up)
+    estimator.update(flags & up)
+    return estimator.posterior[0, module]
+
+
+def without(module, n):
+    operational = np.ones((1, n), dtype=bool)
+    operational[0, module] = False
+    return operational
 
 
 class TestPriorDynamics:
@@ -33,15 +53,17 @@ class TestPriorDynamics:
 
     def test_belief_drifts_towards_compromised_without_votes(self, parameters):
         estimator = HealthEstimator(parameters)
-        early = estimator.probability_compromised(0, now=10.0)
-        late = estimator.probability_compromised(0, now=5000.0)
+        estimator.predict(10.0)
+        early = estimator.posterior[0, 0]
+        estimator.predict(5000.0)
+        late = estimator.posterior[0, 0]
         assert 0.0 < early < late < 1.0
 
     def test_time_running_backwards_rejected(self, parameters):
         estimator = HealthEstimator(parameters)
-        estimator.update(0, False, now=10.0)
+        observe(estimator, False, now=10.0)
         with pytest.raises(SimulationError):
-            estimator.update(0, False, now=5.0)
+            observe(estimator, False, now=5.0)
 
 
 class TestLikelihood:
@@ -51,27 +73,28 @@ class TestLikelihood:
         )
 
     def test_uninformative_likelihoods_rejected(self, parameters):
+        # p' at the healthy modules' own deviation rate
+        blind = parameters.replace(
+            p_prime=healthy_deviation_probability(parameters)
+        )
         with pytest.raises(SimulationError):
-            HealthEstimator(
-                parameters,
-                p_deviate_healthy=0.5,
-                p_deviate_compromised=0.5,
-            )
+            deviation_likelihoods(blind)
+        with pytest.raises(SimulationError):
+            HealthEstimator(blind)
 
     def test_deviations_raise_suspicion(self, parameters):
         estimator = HealthEstimator(parameters)
         for i in range(20):
-            estimator.update(0, deviated=True, now=float(i + 1))
-        assert estimator.probability_compromised(0) > 0.99
+            observe(estimator, True, now=float(i + 1))
+        assert estimator.posterior[0, 0] > 0.99
 
     def test_agreement_clears_suspicion(self, parameters):
         estimator = HealthEstimator(parameters)
         for i in range(5):
-            estimator.update(0, deviated=True, now=float(i + 1))
-        suspicious = estimator.probability_compromised(0)
+            suspicious = observe(estimator, True, now=float(i + 1))
         for i in range(50):
-            estimator.update(0, deviated=False, now=float(i + 6))
-        assert estimator.probability_compromised(0) < suspicious
+            observe(estimator, False, now=float(i + 6))
+        assert estimator.posterior[0, 0] < suspicious
 
     def test_compromised_behaviour_detected_quickly(self, parameters):
         """A module deviating at rate p' crosses 0.9 within ~20 rounds."""
@@ -79,7 +102,7 @@ class TestLikelihood:
         crossed_at = None
         pattern = [True, False] * 15  # deviation rate 0.5 = p'
         for i, deviated in enumerate(pattern):
-            p = estimator.update(0, deviated, now=float(i + 1))
+            p = observe(estimator, deviated, now=float(i + 1))
             if p > 0.9:
                 crossed_at = i
                 break
@@ -89,37 +112,46 @@ class TestLikelihood:
         """Isolated deviations at the healthy rate never cross 0.5."""
         estimator = HealthEstimator(parameters)
         for i in range(300):
-            estimator.update(0, deviated=(i % 25 == 0), now=float(i + 1))
-            assert estimator.probability_compromised(0) < 0.5
+            assert observe(estimator, i % 25 == 0, now=float(i + 1)) < 0.5
 
 
 class TestAvailability:
     def test_unavailable_module_has_no_posterior(self, parameters):
+        n = parameters.n_modules
         estimator = HealthEstimator(parameters)
-        estimator.observe_unavailable(0, now=5.0)
-        assert estimator.probability_compromised(0) is None
-        with pytest.raises(SimulationError):
-            estimator.update(0, False, now=6.0)
+        estimator.sync(5.0, without(0, n))
+        assert not estimator.available[0, 0]
+        assert np.isnan(estimator.posterior[0, 0])
+        # a deviation flag cannot resurrect the belief of a silent module
+        assert np.isnan(
+            observe(estimator, True, now=6.0, operational=without(0, n))
+        )
 
     def test_return_resets_belief_and_staleness(self, parameters):
+        n = parameters.n_modules
         estimator = HealthEstimator(parameters)
         for i in range(10):
-            estimator.update(0, True, now=float(i + 1))
-        estimator.observe_unavailable(0, now=20.0)
-        estimator.observe_return(0, now=25.0)
-        assert estimator.probability_compromised(0) == 0.0
-        assert estimator.last_reset(0) == 25.0
+            observe(estimator, True, now=float(i + 1))
+        estimator.sync(20.0, without(0, n))
+        estimator.sync(25.0, np.ones((1, n), dtype=bool))
+        assert estimator.posterior[0, 0] == 0.0
+        assert estimator.last_reset[0, 0] == 25.0
+        assert (estimator.last_reset[0, 1:] == 0.0).all()
 
     def test_suspicion_map_covers_all_modules(self, parameters):
-        estimator = HealthEstimator(parameters)
-        estimator.observe_unavailable(2, now=1.0)
-        suspicion = estimator.suspicion()
-        assert set(suspicion) == set(range(parameters.n_modules))
-        assert suspicion[2] is None
+        n = parameters.n_modules
+        estimator = HealthEstimator(parameters, groups=3)
+        operational = np.ones((3, n), dtype=bool)
+        operational[1, 2] = False
+        estimator.sync(1.0, operational)
+        assert estimator.posterior.shape == (3, n)
+        assert np.isnan(estimator.posterior[1, 2])
+        assert np.count_nonzero(np.isnan(estimator.posterior)) == 1
 
     def test_reset_restores_fresh_state(self, parameters):
-        estimator = HealthEstimator(parameters)
-        estimator.update(0, True, now=1.0)
-        estimator.reset()
-        assert estimator.probability_compromised(0) == 0.0
-        assert estimator.last_reset(0) == 0.0
+        """A new deployment: every module healthy and up at time zero."""
+        estimator = HealthEstimator(parameters, groups=2)
+        assert estimator.clock == 0.0
+        assert (estimator.posterior == 0.0).all()
+        assert estimator.available.all()
+        assert (estimator.last_reset == 0.0).all()

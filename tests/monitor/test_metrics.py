@@ -1,14 +1,59 @@
 """Tests for the ground-truth monitoring metrics."""
 
+import numpy as np
 import pytest
 
-from repro.monitor.metrics import MonitorMetrics
-from repro.simulation.voter import VoteOutcome
+from repro.monitor.controller import ROLLING_WINDOW, MonitorController
+from repro.monitor.core import HealthMonitor
+from repro.monitor.policies import MonitorConfig
+from repro.nversion.voting import VotingScheme
+from repro.perception.parameters import PerceptionParameters
+from repro.simulation.voter import VoteOutcome, Voter
+
+N_MODULES = 6
+
+
+def one(module_id):
+    mask = np.zeros((1, N_MODULES), dtype=bool)
+    mask[0, module_id] = True
+    return mask
+
+
+NONE = np.zeros((1, N_MODULES), dtype=bool)
+
+
+class Ledger:
+    """A one-group monitor's ledger, driven per module."""
+
+    def __init__(self):
+        self.core = HealthMonitor(
+            PerceptionParameters.six_version_defaults(), MonitorConfig()
+        )
+
+    def record_transition(self, now, module_id, kind):
+        self.core.record_transition(now, kind, one(module_id))
+
+    def record_flag(self, now, module_id):
+        self.core.metrics.record_crossings(now, one(module_id), NONE)
+
+    def summary(self):
+        return self.core.report().summary()
 
 
 @pytest.fixture
 def metrics():
-    return MonitorMetrics(detection_threshold=0.5, reliability_window=4)
+    return Ledger()
+
+
+@pytest.fixture
+def controller():
+    return MonitorController(PerceptionParameters.six_version_defaults())
+
+
+def feed(controller, now, outcome):
+    voter = Voter(VotingScheme.bft_with_rejuvenation(1, 1))
+    outputs = [0] * N_MODULES
+    controller.observe_round(now, outputs, voter.tally(outputs, 0), outcome)
 
 
 class TestDetection:
@@ -53,6 +98,7 @@ class TestDetection:
         metrics.record_flag(5.0, 0)
         metrics.record_flag(6.0, 0)
         assert metrics.summary().false_alarms == 1
+        assert metrics.core.metrics.flags == 1
 
     def test_repair_clears_stale_flag(self, metrics):
         """After a repair the module is healthy; old flags must not
@@ -83,7 +129,7 @@ class TestTriggers:
         assert summary.false_trigger_rate == 1.0
 
     def test_trigger_after_detection_still_attributed(self, metrics):
-        """Detection pops the pending-compromise entry; the later
+        """Detection closes the pending-compromise episode; the later
         rejuvenation must still count as a true trigger."""
         metrics.record_transition(10.0, 0, "compromise")
         metrics.record_flag(12.0, 0)
@@ -103,45 +149,42 @@ class TestTriggers:
 
 
 class TestReliability:
-    def test_cumulative_and_rolling(self, metrics):
-        for outcome in [
-            VoteOutcome.ERROR,
-            VoteOutcome.CORRECT,
-            VoteOutcome.CORRECT,
-            VoteOutcome.CORRECT,
-            VoteOutcome.CORRECT,
-            VoteOutcome.CORRECT,
-        ]:
-            metrics.record_round(outcome)
-        summary = metrics.summary()
-        assert summary.rounds == 6
+    def test_cumulative_and_rolling(self, controller):
+        feed(controller, 1.0, VoteOutcome.ERROR)
+        for i in range(ROLLING_WINDOW):
+            feed(controller, float(i + 2), VoteOutcome.CORRECT)
+        summary = controller.summary()
+        assert summary.rounds == ROLLING_WINDOW + 1
         assert summary.errors == 1
-        assert summary.empirical_reliability == pytest.approx(5 / 6)
-        # window of 4: the error has rolled out
+        assert summary.empirical_reliability == pytest.approx(
+            ROLLING_WINDOW / (ROLLING_WINDOW + 1)
+        )
+        # the error has rolled out of the window
         assert summary.rolling_reliability == 1.0
 
-    def test_inconclusive_is_not_an_error(self, metrics):
-        metrics.record_round(VoteOutcome.INCONCLUSIVE)
-        assert metrics.summary().errors == 0
+    def test_inconclusive_is_not_an_error(self, controller):
+        feed(controller, 1.0, VoteOutcome.INCONCLUSIVE)
+        assert controller.summary().errors == 0
 
-    def test_empty_run(self, metrics):
-        summary = metrics.summary()
+    def test_empty_run(self, controller):
+        summary = controller.summary()
         assert summary.empirical_reliability == 1.0
         assert summary.rolling_reliability == 1.0
         assert summary.detection_rate == 0.0
 
-    def test_render_mentions_key_numbers(self, metrics):
-        metrics.record_transition(10.0, 0, "compromise")
-        metrics.record_flag(15.0, 0)
-        metrics.record_round(VoteOutcome.CORRECT)
-        text = metrics.summary().render()
+    def test_render_mentions_key_numbers(self, controller):
+        controller.notify_transition(10.0, 0, "compromise")
+        controller.core.metrics.record_crossings(15.0, one(0), NONE)
+        feed(controller, 16.0, VoteOutcome.CORRECT)
+        text = controller.summary().render()
         assert "5.0 s" in text
         assert "1 detected" in text
 
-    def test_reset(self, metrics):
-        metrics.record_transition(10.0, 0, "compromise")
-        metrics.record_round(VoteOutcome.ERROR)
-        metrics.reset()
-        summary = metrics.summary()
+    def test_reset(self, controller):
+        controller.notify_transition(10.0, 0, "compromise")
+        feed(controller, 11.0, VoteOutcome.ERROR)
+        controller.begin_run()
+        summary = controller.summary()
         assert summary.compromises == 0
         assert summary.rounds == 0
+        assert summary.rolling_reliability == 1.0

@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.monitor.controller import MonitorController
-from repro.monitor.metrics import MonitorMetrics
-from repro.monitor.policies import PeriodicPolicy
 from repro.nversion.voting import VotingScheme
 from repro.obs import event_stream, openmetrics, registry_override
 from repro.perception.parameters import PerceptionParameters
@@ -26,7 +24,7 @@ def feed_round(controller, now, outputs, truth=0):
 
 class TestControllerBridge:
     def test_rounds_feed_counters_and_disagreement_histogram(self, parameters):
-        controller = MonitorController(parameters, PeriodicPolicy())
+        controller = MonitorController(parameters)
         controller.begin_run()
         n = parameters.n_modules
         with registry_override() as registry:
@@ -40,7 +38,7 @@ class TestControllerBridge:
         assert histogram.max == pytest.approx(1.0 / n)
 
     def test_persistent_deviation_flags_module(self, parameters):
-        controller = MonitorController(parameters, PeriodicPolicy())
+        controller = MonitorController(parameters)
         controller.begin_run()
         n = parameters.n_modules
         with registry_override() as registry, event_stream() as stream:
@@ -54,12 +52,12 @@ class TestControllerBridge:
 
 
 class TestMetricsBridge:
-    def test_transitions_feed_counters_and_events(self):
-        metrics = MonitorMetrics()
+    def test_transitions_feed_counters_and_events(self, parameters):
+        controller = MonitorController(parameters)
         with registry_override() as registry, event_stream() as stream:
-            metrics.record_transition(10.0, 2, "compromise")
-            metrics.record_transition(20.0, 2, "rejuvenation-start")
-            metrics.record_transition(30.0, 4, "rejuvenation-start")
+            controller.notify_transition(10.0, 2, "compromise")
+            controller.notify_transition(20.0, 2, "rejuvenation-start")
+            controller.notify_transition(30.0, 4, "rejuvenation-start")
         assert registry.counter("monitor.compromises").value == 1.0
         assert registry.counter("monitor.rejuvenations").value == 2.0
         # module 4 was healthy: that rejuvenation was wasted
@@ -68,21 +66,35 @@ class TestMetricsBridge:
         assert kinds == ["monitor.rejuvenation", "monitor.rejuvenation"]
         assert [e["module"] for e in stream.events] == [2, 4]
 
-    def test_unflag_emits_only_when_flagged(self):
-        metrics = MonitorMetrics()
+    def test_unflag_emits_only_when_flagged(self, parameters):
+        controller = MonitorController(parameters)
+        n = parameters.n_modules
+        deviant = [0] * (n - 1) + [7]
+        now = 0.0
+
+        def rounds(outputs, count):
+            nonlocal now
+            for _ in range(count):
+                now += 1.0
+                feed_round(controller, now, outputs)
+
         with registry_override(), event_stream() as stream:
-            metrics.record_unflag(3)  # never flagged: silent
-            metrics.record_flag(5.0, 3)
-            metrics.record_unflag(3)
+            rounds(deviant, 8)  # flag
+            # a repair clears the flag (the module returns healthy), so
+            # the posterior's later fall below the threshold is silent
+            controller.notify_transition(now, n - 1, "repair")
+            rounds([0] * n, 30)
+            rounds(deviant, 8)  # flag again
+            rounds([0] * n, 30)  # and this time unflag
         kinds = [e["event"] for e in stream.events]
-        assert kinds == ["monitor.flag", "monitor.unflag"]
+        assert kinds == ["monitor.flag", "monitor.flag", "monitor.unflag"]
 
     def test_one_openmetrics_dump_covers_monitor_and_solver(self, parameters):
         """The satellite's point: a single exposition holds both layers."""
         from repro.engine import cache_override
         from repro.perception.architecture import PerceptionSystem
 
-        controller = MonitorController(parameters, PeriodicPolicy())
+        controller = MonitorController(parameters)
         controller.begin_run()
         n = parameters.n_modules
         # uncached, or a warm solver cache skips statespace exploration

@@ -1,9 +1,6 @@
 """Tests for the disagreement-signal layer."""
 
-import pytest
-
-from repro.errors import SimulationError
-from repro.monitor.signals import DisagreementWindow, RoundSignal, round_signal
+from repro.monitor.signals import round_signal
 from repro.nversion.voting import VotingScheme
 from repro.simulation.voter import Voter
 
@@ -37,60 +34,3 @@ class TestRoundSignal:
         outputs = [8, 8, 8, 5]
         signal = round_signal(4.0, outputs, tally_of(outputs, truth=5))
         assert signal.deviated == (False, False, False, True)
-
-
-class TestDisagreementWindow:
-    def make_signal(self, time, deviated):
-        n = len(deviated)
-        return RoundSignal(
-            time=time,
-            participated=(True,) * n,
-            deviated=tuple(deviated),
-            margin=1,
-        )
-
-    def test_counts_accumulate(self):
-        window = DisagreementWindow(3, size=10)
-        window.observe(self.make_signal(0.0, [True, False, False]))
-        window.observe(self.make_signal(1.0, [True, False, False]))
-        window.observe(self.make_signal(2.0, [False, False, False]))
-        assert window.deviations(0) == 2
-        assert window.deviations(1) == 0
-        assert window.participations(0) == 3
-        assert window.deviation_rate(0) == pytest.approx(2 / 3)
-
-    def test_eviction_keeps_counts_consistent(self):
-        window = DisagreementWindow(2, size=3)
-        for i in range(10):
-            window.observe(self.make_signal(float(i), [i % 2 == 0, False]))
-        assert len(window) == 3
-        # last three rounds: i = 7, 8, 9 -> deviations at 8 only
-        assert window.deviations(0) == 1
-        assert window.participations(0) == 3
-
-    def test_unobserved_module_rate_zero(self):
-        window = DisagreementWindow(2, size=4)
-        assert window.deviation_rate(0) == 0.0
-
-    def test_mean_margin(self):
-        window = DisagreementWindow(1, size=4)
-        window.observe(RoundSignal(0.0, (True,), (False,), margin=3))
-        window.observe(RoundSignal(1.0, (True,), (False,), margin=1))
-        assert window.mean_margin() == pytest.approx(2.0)
-
-    def test_snapshot(self):
-        window = DisagreementWindow(2, size=4)
-        window.observe(self.make_signal(0.0, [True, False]))
-        assert window.snapshot() == {0: (1, 1), 1: (0, 1)}
-
-    def test_reset(self):
-        window = DisagreementWindow(2, size=4)
-        window.observe(self.make_signal(0.0, [True, True]))
-        window.reset()
-        assert len(window) == 0
-        assert window.deviations(0) == 0
-
-    def test_size_mismatch_rejected(self):
-        window = DisagreementWindow(3, size=4)
-        with pytest.raises(SimulationError):
-            window.observe(self.make_signal(0.0, [True, False]))

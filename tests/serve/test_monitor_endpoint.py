@@ -5,7 +5,6 @@ from __future__ import annotations
 import asyncio
 
 from repro.monitor.controller import MonitorController
-from repro.monitor.policies import PeriodicPolicy
 from repro.nversion.voting import VotingScheme
 from repro.obs import registry_override
 from repro.perception.parameters import PerceptionParameters
@@ -25,7 +24,7 @@ def feed_round(controller, now, outputs, truth=0):
 def deviating_controller(rounds=60):
     """A controller (and its registry) that has flagged its last module."""
     parameters = PerceptionParameters.six_version_defaults()
-    controller = MonitorController(parameters, PeriodicPolicy())
+    controller = MonitorController(parameters)
     controller.begin_run()
     n = parameters.n_modules
     with registry_override() as registry:

@@ -16,7 +16,7 @@ lock down three layers:
 
 import pytest
 
-from repro.monitor import MonitorController, PeriodicPolicy
+from repro.monitor import MonitorController
 from repro.perception.parameters import PerceptionParameters
 from repro.simulation.campaigns import AttackCampaign
 from repro.simulation.runtime import PerceptionRuntime
@@ -32,7 +32,7 @@ def run_once(
     duration=8000.0,
 ):
     monitor = (
-        MonitorController(parameters, PeriodicPolicy()) if monitored else None
+        MonitorController(parameters) if monitored else None
     )
     runtime = PerceptionRuntime(
         parameters,
