@@ -1,8 +1,9 @@
 """Sparse CTMC numerics: Krylov stationary solves and sparse uniformization.
 
-The dense path (:mod:`repro.markov.linear`) factors ``[Q^T; 1]`` with two
-SVDs — O(n³) and hopeless past a few thousand states.  This module keeps
-the generator in CSR form end-to-end and solves the same two problems
+The dense path (:mod:`repro.markov.linear`) factors ``Q^T``, with one
+balance equation replaced by the normalization row, by one pivoted LU —
+O(n³) and hopeless past a few thousand states.  This module keeps the
+generator in CSR form end-to-end and solves the same two problems
 iteratively:
 
 * :func:`stationary_distribution_sparse` — πQ = 0, Σπ = 1 via the
@@ -19,9 +20,11 @@ iteratively:
   the dense route (:func:`repro.markov.uniformization.uniformized_series`).
 
 Acceptance mirrors the dense bar exactly: a solution is returned only if
-‖πQ‖∞ ≤ 1e-8·max(1, |Q|ₘₐₓ), and reducible chains raise the same
-:class:`~repro.errors.SolverError` text as the dense route so the
-differential harness can assert identical behaviour on both paths.
+‖πQ‖∞ ≤ 1e-8·max(1, |Q|ₘₐₓ).  Both routes decide uniqueness with one
+structural check, :func:`repro.markov.linear.recurrent_states`, so
+reducible chains raise the same :class:`~repro.errors.SolverError` text
+on both paths and the differential harness can assert identical
+behaviour.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import LinearOperator, bicgstab, gmres, spilu
 
 from repro.errors import ParameterError, SolverError
-from repro.markov.linear import normalize_distribution
+from repro.markov.linear import normalize_distribution, recurrent_states
 from repro.markov.uniformization import uniformized_series
 from repro.obs import counter, histogram, span
 
@@ -120,38 +123,6 @@ def check_sparse_generator(matrix: Any, *, what: str) -> sp.csr_array:
             f"{what}: generator rows do not sum to zero (max |sum| = {row_sums.max():.3e})"
         )
     return matrix
-
-
-def recurrent_states(generator: sp.csr_array, *, what: str) -> np.ndarray:
-    """Boolean mask of the unique terminal (recurrent) class of ``generator``.
-
-    Decomposes the positive-rate transition structure into strongly
-    connected components and demands exactly one *terminal* class (no
-    edge leaving it).  A chain with several terminal classes has no
-    unique stationary distribution; the raised error matches the dense
-    route's text so both paths fail identically on reducible models.
-    """
-    n = generator.shape[0]
-    coo = generator.tocoo()
-    positive = (coo.data > 0.0) & (coo.row != coo.col)
-    pattern = sp.csr_array(
-        (np.ones(int(positive.sum())), (coo.row[positive], coo.col[positive])),
-        shape=(n, n),
-    )
-    n_components, labels = connected_components(
-        pattern, directed=True, connection="strong"
-    )
-    terminal = np.ones(n_components, dtype=bool)
-    rows, cols = pattern.tocoo().row, pattern.tocoo().col
-    crossing = labels[rows] != labels[cols]
-    terminal[labels[rows[crossing]]] = False
-    terminal_classes = np.flatnonzero(terminal)
-    if len(terminal_classes) != 1:
-        raise SolverError(
-            f"{what}: stationary distribution is not unique; the chain is "
-            "reducible with multiple recurrent classes"
-        )
-    return labels == terminal_classes[0]
 
 
 def stationary_distribution_sparse(

@@ -160,8 +160,8 @@ def _bench_serve() -> None:
 def _bench_sparse_steady() -> None:
     """Sparse stationary solve of the N=20 fleet product net (~6k states).
 
-    The headline large-N workload: the dense route needs minutes of
-    O(n³) SVD work at this size, the Krylov route well under a second —
+    The headline large-N workload: the dense route needs O(n³) LU work
+    and O(n²) memory at this size, the Krylov route well under a second —
     and the solve is certified, so the benchmark cannot silently record
     a wrong answer fast.
     """

@@ -60,24 +60,28 @@ def _eliminate(graph: RawGraph) -> TangibleGraph:
         graph, vanishing_indices, vanishing_position, tangible_position
     )
 
+    resolved: dict[int, tuple[tuple[int, float], ...]] = {}
+
     def resolve(raw_target: int) -> tuple[tuple[int, float], ...]:
         """Distribution over tangible positions reached from ``raw_target``."""
         if not graph.vanishing[raw_target]:
             return ((tangible_position[raw_target], 1.0),)
+        if raw_target in resolved:
+            return resolved[raw_target]
         row = absorption[vanishing_position[raw_target]]
-        entries = [
-            (int(pos), float(prob))
-            for pos, prob in enumerate(row)
-            if prob > _PROBABILITY_TOLERANCE
-        ]
-        total = sum(prob for _, prob in entries)
+        positions = np.flatnonzero(row > _PROBABILITY_TOLERANCE)
+        probabilities = row[positions].tolist()
+        total = sum(probabilities)
         if abs(total - 1.0) > 1e-6:
             raise StateSpaceError(
                 f"vanishing marking {graph.markings[raw_target].compact()} "
                 f"absorbs with total probability {total}; the immediate "
                 "transitions form a trap with no tangible escape"
             )
-        return tuple((pos, prob / total) for pos, prob in entries)
+        resolved[raw_target] = tuple(
+            (pos, prob / total) for pos, prob in zip(positions.tolist(), probabilities)
+        )
+        return resolved[raw_target]
 
     exponential_edges: list[list[ExponentialEdge]] = []
     deterministic_edges: list[list[DeterministicEdge]] = []

@@ -51,6 +51,32 @@ class TestStationaryDerivative:
         with pytest.raises(SolverError, match="sum to zero"):
             stationary_derivative(two_state(), np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    def test_reducible_chain_rejected(self):
+        """Two closed classes: no unique pi, so no unique derivative."""
+        chain = CTMC(
+            np.array(
+                [
+                    [-1.0, 1.0, 0.0, 0.0],
+                    [4.0, -4.0, 0.0, 0.0],
+                    [0.0, 0.0, -2.0, 2.0],
+                    [0.0, 0.0, 3.0, -3.0],
+                ]
+            )
+        )
+        derivative = np.zeros((4, 4))
+        derivative[0, :2] = D_FAIL[0]
+        with pytest.raises(SolverError, match="not unique"):
+            stationary_derivative(chain, derivative)
+
+    def test_transient_state_has_zero_derivative(self):
+        """A transient start state feeding the up/down pair: pi stays 0 there."""
+        f, r = 1.0, 4.0
+        chain = CTMC(np.array([[-2.0, 1.0, 1.0], [0.0, -f, f], [0.0, r, -r]]))
+        derivative = stationary_derivative(
+            chain, np.array([[0.0, 0.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
+        )
+        assert np.allclose(derivative, [0.0, -r / (f + r) ** 2, r / (f + r) ** 2])
+
 
 class TestRewardDerivative:
     def test_availability_sensitivity(self):

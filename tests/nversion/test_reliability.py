@@ -2,9 +2,12 @@
 
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from repro.engine.hashing import reliability_fingerprint
 from repro.errors import ParameterError
 from repro.nversion.conventions import OutputConvention
 from repro.nversion.failure_models import CompromisedBinomialModel, EgeDependentModel
@@ -249,3 +252,133 @@ class TestReliabilityMatrix:
         matrix = reliability_matrix(r)
         assert matrix[3, 1] == r(3, 1, 0)
         assert matrix[0, 3] == r(0, 3, 1)
+
+    def test_generalized_returns_a_copy_of_the_table(self):
+        r = GeneralizedReliability(n_modules=6, threshold=4, p=P, p_prime=PP, alpha=A)
+        matrix = reliability_matrix(r)
+        np.testing.assert_array_equal(matrix, r.table)
+        assert np.isnan(matrix[6, 1])
+        matrix[0, 0] = 2.0  # a writable copy: the cached table is untouched
+        assert r.table[0, 0] != 2.0
+
+
+def _enumerated(r: GeneralizedReliability, healthy: int, compromised: int) -> float:
+    """``R_{i,j,k}`` by per-state enumeration over the failure models.
+
+    The independent witness for :attr:`GeneralizedReliability.table`:
+    one state at a time, every probability from
+    ``EgeDependentModel(paper_combinatorics=False)`` and
+    ``CompromisedBinomialModel``, every sum a plain loop.
+    """
+    operational = healthy + compromised
+    if operational < r.threshold:
+        return 0.0
+    healthy_model = EgeDependentModel(r.p, r.alpha, paper_combinatorics=False)
+    compromised_model = CompromisedBinomialModel(r.p_prime)
+
+    def wrong_between(low: int, high: int) -> float:
+        """P(low <= compromised modules that err < high)."""
+        return sum(
+            compromised_model.probability_exactly(wrong, compromised)
+            for wrong in range(max(0, low), min(compromised + 1, high))
+        )
+
+    if r.convention is OutputConvention.SAFE_SKIP:
+        below = wrong_between(0, r.threshold)
+        above = wrong_between(r.threshold, compromised + 1)
+        success = below if below <= above else 1.0 - above
+        lost = sum(
+            healthy_model.probability_exactly(wrong, healthy)
+            * wrong_between(r.threshold - wrong, r.threshold)
+            for wrong in range(1, healthy + 1)
+        )
+        return max(0.0, success - lost)
+    max_wrong = operational - r.threshold
+    return sum(
+        healthy_model.probability_exactly(wrong, healthy)
+        * wrong_between(0, max_wrong - wrong + 1)
+        for wrong in range(min(healthy, max_wrong) + 1)
+    )
+
+
+def _assert_table_matches_enumeration(r: GeneralizedReliability) -> None:
+    n = r.n_modules
+    expected = np.full((n + 1, n + 1), np.nan)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            expected[i, j] = _enumerated(r, i, j)
+    table = r.table
+    assert table.shape == (n + 1, n + 1)
+    feasible = ~np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(table), ~feasible)
+    np.testing.assert_array_max_ulp(table[feasible], expected[feasible], maxulp=4)
+
+
+#: Thresholds per module count: the extremes, the BFT 2f+1 = 3 and a
+#: majority-style middle.
+WITNESS_THRESHOLDS = {
+    4: (1, 3, 4),
+    6: (2, 4, 6),
+    12: (3, 7, 12),
+    32: (3, 17),
+    64: (3, 33, 64),
+}
+
+
+class TestTableWitness:
+    """The numpy table equals the per-state enumeration within 4 ulp."""
+
+    @pytest.mark.parametrize("convention", list(OutputConvention), ids=lambda c: c.value)
+    @pytest.mark.parametrize(
+        "n, threshold",
+        [(n, t) for n, thresholds in WITNESS_THRESHOLDS.items() for t in thresholds],
+    )
+    def test_table_matches_enumeration(self, n, threshold, convention):
+        r = GeneralizedReliability(
+            n_modules=n, threshold=threshold, p=P, p_prime=PP, alpha=A,
+            convention=convention,
+        )
+        _assert_table_matches_enumeration(r)
+
+    @given(
+        p=st.floats(0.0, 1.0),
+        p_prime=st.floats(0.0, 1.0),
+        alpha=st.floats(0.0, 1.0),
+        n=st.integers(1, 12),
+        threshold_fraction=st.floats(0.0, 1.0),
+        convention=st.sampled_from(list(OutputConvention)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_table_matches_enumeration_everywhere(
+        self, p, p_prime, alpha, n, threshold_fraction, convention
+    ):
+        threshold = 1 + round(threshold_fraction * (n - 1))
+        r = GeneralizedReliability(
+            n_modules=n, threshold=threshold, p=p, p_prime=p_prime, alpha=alpha,
+            convention=convention,
+        )
+        _assert_table_matches_enumeration(r)
+
+    def test_calls_look_up_the_table(self):
+        r = GeneralizedReliability(n_modules=6, threshold=4, p=P, p_prime=PP, alpha=A)
+        for i in range(7):
+            for j in range(7 - i):
+                value = r(i, j, 6 - i - j)
+                assert type(value) is float
+                assert value == r.table[i, j]
+
+    def test_table_is_cached_read_only_and_not_a_field(self):
+        r = GeneralizedReliability(n_modules=6, threshold=4, p=P, p_prime=PP, alpha=A)
+        fresh = GeneralizedReliability(n_modules=6, threshold=4, p=P, p_prime=PP, alpha=A)
+        before = (repr(r), reliability_fingerprint(r), hash(r))
+        assert r.table is r.table
+        assert not r.table.flags.writeable
+        assert (repr(r), reliability_fingerprint(r), hash(r)) == before
+        assert r == fresh
+
+    def test_calls_still_validate_the_state(self):
+        r = GeneralizedReliability(n_modules=6, threshold=4, p=P, p_prime=PP, alpha=A)
+        with pytest.raises(ParameterError):
+            r(4, 1, 0)
+        with pytest.raises(ParameterError):
+            r(7, -1, 0)

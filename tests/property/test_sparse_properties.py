@@ -1,7 +1,9 @@
 """Property tests for the sparse stationary solvers.
 
 Random ergodic CTMC families: sparse GMRES, sparse BiCGStab, dense LU,
-and power iteration must all land on the same stationary vector; random
+and power iteration must all land on the same stationary vector; the
+dense LU also agrees with a least-squares solve of ``[Q^T; 1]`` and
+with the sparse route on chains with transient states; random
 reducible families must raise the same typed error with the same text
 on the dense and the sparse route.
 """
@@ -32,6 +34,38 @@ def ergodic_generators(draw):
         generator[i, (i + 1) % n] += rng.uniform(0.1, 1.0)
     np.fill_diagonal(generator, -generator.sum(axis=1))
     return generator
+
+
+@st.composite
+def transient_generators(draw):
+    """``(Q, m)``: a random recurrent class of states ``0..m-1`` plus
+    transient states that drain into it."""
+    recurrent = draw(st.integers(min_value=1, max_value=20))
+    transient = draw(st.integers(min_value=1, max_value=20))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = recurrent + transient
+    generator = np.zeros((n, n))
+    for i in range(recurrent):
+        if recurrent > 1:
+            generator[i, (i + 1) % recurrent] = rng.uniform(0.1, 1.0)
+            generator[i, rng.integers(recurrent)] += rng.uniform(0.05, 5.0)
+    for i in range(recurrent, n):
+        generator[i, rng.integers(recurrent)] = rng.uniform(0.05, 5.0)
+        generator[i, rng.integers(recurrent, n)] += rng.uniform(0.05, 5.0)
+    np.fill_diagonal(generator, 0.0)
+    np.fill_diagonal(generator, -generator.sum(axis=1))
+    return generator, recurrent
+
+
+def _lstsq_stationary(generator: np.ndarray) -> np.ndarray:
+    """Reference: the least-squares solution of ``[Q^T; 1] pi = [0; 1]``."""
+    n = generator.shape[0]
+    system = np.vstack([generator.T, np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    return solution
 
 
 @st.composite
@@ -72,6 +106,37 @@ class TestAllRoutesAgree:
             assert info.residual <= info.tolerance
             assert abs(pi.sum() - 1.0) <= 1e-12
             assert pi.min() >= 0.0
+
+
+class TestDenseLUAgainstReferences:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        generator=st.one_of(
+            ergodic_generators(), transient_generators().map(lambda chain: chain[0])
+        )
+    )
+    def test_lu_agrees_with_lstsq_and_the_sparse_route(self, generator):
+        pi = solve_stationary(generator, what="dense")
+        np.testing.assert_allclose(
+            pi, _lstsq_stationary(generator), atol=1e-9, rtol=0.0,
+            err_msg="dense LU disagrees with the least-squares reference",
+        )
+        sparse_pi, _ = stationary_distribution_sparse(
+            sp.csr_array(generator), what="sparse"
+        )
+        np.testing.assert_allclose(
+            pi, sparse_pi, atol=1e-9, rtol=0.0,
+            err_msg="dense LU disagrees with the sparse route",
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(chain=transient_generators())
+    def test_transient_states_carry_no_mass(self, chain):
+        generator, recurrent = chain
+        pi = solve_stationary(generator, what="dense")
+        assert np.all(pi[recurrent:] <= 1e-12)
+        assert pi[:recurrent].min() > 0.0
+        assert abs(pi.sum() - 1.0) <= 1e-12
 
 
 class TestReducibleChains:
