@@ -26,15 +26,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Analytic routes accepted by :func:`solve_steady_state`.
 METHODS = ("auto", "ctmc", "mrgp", "sparse")
 
-#: ``method="auto"`` switches exponential-only nets from the dense CTMC
-#: solve (O(n³) — ~35s at 4000 states) to the sparse Krylov route at
-#: this state count.  Well below the threshold the dense solve is
-#: faster (no reordering/ILU setup); well above it is intractable.
+#: ``method="auto"`` switches exponential-only nets from the dense
+#: generator (O(n²) memory) to the CSR route at this state count.  Both
+#: run the same anchored stationary solve, which picks its own
+#: factorization by structural fill (:mod:`repro.markov.linear`).
 SPARSE_STATE_THRESHOLD = 1500
 
 #: Generators denser than this stay on the dense route regardless of
-#: size: ILU fill-in on near-dense patterns costs more than the direct
-#: factorization it is meant to avoid.
+#: size: a near-dense pattern gains nothing from CSR storage.
 SPARSE_DENSITY_CEILING = 0.05
 
 
@@ -58,9 +57,9 @@ class SteadyStateResult:
         ``verify=...`` (``None`` otherwise).  Travels with the result
         through the engine cache.
     solver_info:
-        Iterative-solver provenance (Krylov method, iterations, achieved
-        residual) when the sparse route produced ``pi``; ``None`` for
-        the direct dense routes.
+        Solve provenance (factorization, fill estimate, iterations,
+        achieved residual) when the sparse route produced ``pi``;
+        ``None`` for the dense and MRGP routes.
     """
 
     markings: list[Marking]
@@ -98,7 +97,7 @@ def routing_policy() -> dict[str, Any]:
 def route_exponential(graph: TangibleGraph) -> dict[str, Any]:
     """The ``method="auto"`` routing decision for an exponential-only net.
 
-    Routes to the sparse Krylov path when the state space is large
+    Routes to the sparse (CSR) path when the state space is large
     *and* the generator is sparse; dense otherwise.  Returned as a
     plain dict — the same record lands as span attributes (the decision
     is a deterministic function of the graph, hence trace-stable) and
@@ -158,7 +157,7 @@ def solve_steady_state(
     ``method="auto"`` dispatches on the model class and size: nets
     enabling deterministic transitions are solved as MRGPs; exponential-
     only nets are solved as CTMCs — densely below
-    :data:`SPARSE_STATE_THRESHOLD` states, via the sparse Krylov route
+    :data:`SPARSE_STATE_THRESHOLD` states, via the sparse CSR route
     (:mod:`repro.markov.sparse`) above it (see :func:`route_exponential`;
     the decision is recorded on the ``dspn.route`` span and in run
     manifests).  ``"ctmc"`` insists on the dense CTMC route (raising on

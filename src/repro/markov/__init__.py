@@ -12,10 +12,13 @@ graphs and delegates the numerics here.
 * :func:`~repro.markov.mrgp.solve_mrgp` — steady-state solution of a
   Markov-regenerative process given its global kernel and local
   sojourn-time matrix (the Markov renewal theorem).
-* :mod:`~repro.markov.sparse` — CSR-based Krylov stationary solves and
-  sparse uniformization for state spaces past the dense O(n³) ceiling,
-  with iterative-solve provenance (:class:`SparseSolveInfo`) feeding
-  the numerical certificates.
+* :mod:`~repro.markov.linear` — the anchored stationary solve every
+  route shares (recurrent class, pinned anchor state, LAPACK / SuperLU /
+  ILU-GMRES chosen by structural fill).
+* :mod:`~repro.markov.sparse` — CSR stationary solves and sparse
+  uniformization for state spaces past the dense O(n²) memory ceiling,
+  with solve provenance (:class:`SparseSolveInfo`) feeding the
+  numerical certificates.
 """
 
 from repro.markov.ctmc import CTMC

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.markov.ctmc import CTMC
-from repro.markov.linear import solve_bordered
+from repro.markov.linear import solve_anchored
 
 
 def stationary_derivative(chain: CTMC, generator_derivative: np.ndarray) -> np.ndarray:
@@ -57,9 +57,16 @@ def stationary_derivative(chain: CTMC, generator_derivative: np.ndarray) -> np.n
         raise SolverError("dQ/dtheta rows must sum to zero")
 
     pi = chain.stationary_distribution()
-    # solve x Q = -pi dQ, x 1 = 0 on the stationary solve's bordered system;
-    # the stationary solve above has already checked that pi is unique
-    solution, residual = solve_bordered(chain.generator, -(pi @ derivative), 0.0)
+    # a particular solution of x Q = -pi dQ anchored at the heaviest state
+    # (reachable from every state: the stationary solve above has checked
+    # that pi is unique), shifted by a multiple of pi to sum to zero
+    rhs = -(pi @ derivative)
+    particular = solve_anchored(chain.generator, rhs, int(np.argmax(pi)))
+    solution = particular - particular.sum() * pi
+    residual = max(
+        float(np.abs(solution @ chain.generator - rhs).max()),
+        abs(float(solution.sum())),
+    )
     if not residual <= 1e-8 * max(1.0, np.abs(chain.generator).max()):
         raise SolverError(f"sensitivity solve residual too large ({residual:.3e})")
     return solution

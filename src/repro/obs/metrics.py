@@ -92,7 +92,10 @@ class Histogram:
     buckets: dict[int, int] = field(default_factory=dict)
 
     def observe(self, value: float) -> None:
+        """Fold in one finite value; NaN and ±inf raise ``ValueError``."""
         value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"histogram observations must be finite, got {value}")
         self.count += 1
         self.total += value
         if value < self.min:
@@ -117,6 +120,8 @@ class Histogram:
         import numpy  # deferred: keep the obs core stdlib-only on import
 
         array = numpy.asarray(values, dtype=float).ravel()
+        if not numpy.isfinite(array).all():
+            raise ValueError("histogram observations must be finite")
         if array.size <= _SCALAR_FOLD:
             for value in array.tolist():
                 self.observe(value)

@@ -160,10 +160,10 @@ def _bench_serve() -> None:
 def _bench_sparse_steady() -> None:
     """Sparse stationary solve of the N=20 fleet product net (~6k states).
 
-    The headline large-N workload: the dense route needs O(n³) LU work
-    and O(n²) memory at this size, the Krylov route well under a second —
-    and the solve is certified, so the benchmark cannot silently record
-    a wrong answer fast.
+    The headline large-N workload: its LU fill estimate is past the
+    SuperLU budget, so this times the ILU-GMRES route — and the solve is
+    certified, so the benchmark cannot silently record a wrong answer
+    fast.
     """
     from repro.dspn import solve_steady_state
     from repro.perception.fleet import FleetParameters, build_fleet_net

@@ -9,9 +9,10 @@ occupancy, and outstanding slots.  The resulting net is exponential-only
 (the staggered clock is a race of exponential slot timers, the standard
 Markovian approximation of a cyclic rejuvenation schedule), which keeps
 it inside the CTMC class — exactly the large-N workload the sparse
-Krylov route (:mod:`repro.markov.sparse`) exists for: ``N=20`` with six
-crews and six slots reaches ~6k markings, where the dense O(n³) solve
-takes minutes and the sparse route milliseconds.
+route (:mod:`repro.markov.sparse`) exists for: ``N=20`` with six crews
+and six slots reaches ~6k markings, whose LU fill estimate is past the
+SuperLU budget, so the sparse route solves it by ILU-preconditioned
+GMRES.
 
 Module places reuse the Fig. 2 names (``Pmh``/``Pmc``/``Pmf``/``Pmr``)
 plus ``Pmm`` for modules holding a crew in maintenance, so
@@ -102,8 +103,8 @@ class FleetParameters:
     def nv20_defaults(cls, **overrides) -> "FleetParameters":
         """A 20-version fleet with six crews and six slots (~6k states).
 
-        Sized so the dense O(n³) stationary solve takes minutes while the
-        sparse Krylov route finishes in well under a second — the
+        Sized past the SuperLU fill budget, so the sparse route solves
+        it by ILU-preconditioned GMRES in well under a second — the
         ``sparse-steady-nv20`` benchmark workload.
         """
         values = dict(

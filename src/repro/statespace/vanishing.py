@@ -21,6 +21,8 @@ and no meaningful stochastic semantics.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from repro.errors import StateSpaceError
 from repro.obs import counter, span
@@ -121,7 +123,7 @@ def _absorption_matrix(
     vanishing_position: dict[int, int],
     tangible_position: dict[int, int],
 ) -> np.ndarray:
-    """Compute ``(I - P_VV)^(-1) P_VT`` for the vanishing set."""
+    """Compute ``(I - P_VV)^(-1) P_VT`` for the vanishing set by one sparse LU."""
     n_vanishing = len(vanishing_indices)
     n_tangible = len(tangible_position)
     if n_vanishing == 0:
@@ -144,12 +146,11 @@ def _absorption_matrix(
             else:
                 p_vt[row, tangible_position[edge.target]] += probability
 
-    system = np.eye(n_vanishing) - p_vv
+    system = sp.csc_matrix(np.eye(n_vanishing) - p_vv)
     try:
-        absorption = np.linalg.solve(system, p_vt)
-    except np.linalg.LinAlgError as exc:
+        return splu(system).solve(p_vt)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise StateSpaceError(
             "immediate transitions form a closed cycle among vanishing "
             "markings (Zeno behaviour); cannot eliminate"
         ) from exc
-    return absorption

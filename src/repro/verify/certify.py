@@ -15,10 +15,11 @@ solver's internal algebra:
   reconstruction φU / (φU·1) reproduces π (MRGP route);
 * ``sparse-balance`` / ``sparse-solver-record`` — the sparse route's
   ‖πQ‖∞ recomputed against a freshly built CSR generator (never
-  densified), plus an audit of the iterative solve's provenance record
-  (:class:`~repro.markov.sparse.SparseSolveInfo`): the record must be
-  present and its achieved residual within the tolerance it reported —
-  an iterative solution with no audit trail does not certify.
+  densified), plus an audit of the solve's provenance record
+  (:class:`~repro.markov.sparse.SparseSolveInfo`, which names the
+  factorization and its fill estimate): the record must be present and
+  its achieved residual within the tolerance it reported — a sparse
+  solution with no audit trail does not certify.
 
 Certificates travel with their result: ``solve_steady_state(verify=…)``
 attaches them to :class:`~repro.dspn.steady_state.SteadyStateResult`, so
@@ -249,7 +250,7 @@ def _sparse_checks(
 
     The balance check mirrors ``ctmc-balance`` but never densifies —
     certification must stay cheap at the state counts the sparse route
-    exists for.  The record check makes iterative provenance mandatory:
+    exists for.  The record check makes solve provenance mandatory:
     a sparse π with no :class:`~repro.markov.sparse.SparseSolveInfo`
     (or one whose achieved residual exceeds the bar it claims) fails.
     """
@@ -274,7 +275,7 @@ def _sparse_checks(
                 passed=False,
                 value=float("inf"),
                 tolerance=tolerance,
-                detail="iterative solution carries no solver record",
+                detail="sparse solution carries no solver record",
             )
         )
     else:
@@ -285,7 +286,8 @@ def _sparse_checks(
                 value=float(info.residual),
                 tolerance=float(info.tolerance),
                 detail=(
-                    f"{info.solver}, {info.iterations} iterations, "
+                    f"{info.factorization} (fill {info.fill}), "
+                    f"{info.iterations} iterations, "
                     f"{info.refinements} refinements, "
                     f"precond={info.preconditioner}, reorder={info.reordering}"
                 ),

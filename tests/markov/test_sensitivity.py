@@ -77,6 +77,15 @@ class TestStationaryDerivative:
         )
         assert np.allclose(derivative, [0.0, -r / (f + r) ** 2, r / (f + r) ** 2])
 
+    def test_single_state_chain_has_zero_derivative(self):
+        derivative = stationary_derivative(CTMC(np.array([[0.0]])), np.zeros((1, 1)))
+        assert np.array_equal(derivative, [0.0])
+
+    def test_absorbing_chain_has_zero_derivative(self):
+        chain = CTMC(np.array([[-1.0, 1.0], [0.0, 0.0]]))
+        derivative = stationary_derivative(chain, D_FAIL)
+        assert np.allclose(derivative, [0.0, 0.0])
+
 
 class TestRewardDerivative:
     def test_availability_sensitivity(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import null_space
 
 from repro.errors import ParameterError, SolverError
 from repro.markov.linear import solve_stationary
@@ -15,6 +16,7 @@ from repro.markov.sparse import (
     transient_distribution_sparse,
 )
 from repro.markov.uniformization import transient_distribution
+from repro.obs import tracing
 
 
 def random_ergodic_generator(n, *, seed, out_degree=4):
@@ -91,19 +93,23 @@ class TestStationarySparse:
     @pytest.mark.parametrize("solver", SPARSE_SOLVERS)
     def test_agrees_with_dense_route(self, solver):
         dense = random_ergodic_generator(120, seed=3)
-        expected = solve_stationary(dense, what="dense")
+        # the reference shares no code with the solver: the left null
+        # vector of Q by SVD
+        expected = null_space(dense.T)[:, 0]
+        expected /= expected.sum()
         pi, info = stationary_distribution_sparse(
             sp.csr_array(dense), solver=solver, what="sparse"
         )
         np.testing.assert_allclose(pi, expected, atol=1e-9, rtol=0.0)
-        assert info.solver == solver
+        resolved = {"auto": "lapack", "gmres": "ilu-gmres", "power": "power"}
+        assert info.factorization == resolved[solver]
         assert info.residual <= info.tolerance
         assert info.n_states == 120
 
     def test_unknown_solver_rejected_eagerly(self):
         generator = sp.csr_array(random_ergodic_generator(5, seed=4))
         with pytest.raises(
-            ParameterError, match=r"valid solvers: bicgstab, gmres, power"
+            ParameterError, match=r"valid solvers: auto, gmres, power"
         ):
             stationary_distribution_sparse(generator, solver="qr")
 
@@ -142,7 +148,7 @@ class TestStationarySparse:
         generator = sp.csr_array(random_ergodic_generator(30, seed=5))
         _, info = stationary_distribution_sparse(generator, what="test")
         record = info.as_dict()
-        assert record["solver"] == "gmres"
+        assert record["solver"] == "direct"
         assert set(record) == {
             "solver",
             "n_states",
@@ -154,8 +160,43 @@ class TestStationarySparse:
             "preconditioner",
             "reordering",
             "fallback",
+            "factorization",
+            "fill",
         }
         assert SparseSolveInfo(**record) == info
+
+
+class TestSolveRecord:
+    def test_spans_record_the_factorization_and_fill(self):
+        dense = random_ergodic_generator(30, seed=5)
+        with tracing() as tracer:
+            _, info = stationary_distribution_sparse(sp.csr_array(dense), what="test")
+            solve_stationary(dense, what="test")
+        measures = {
+            record.name: record.measures
+            for record in tracer.records
+            if record.name in ("markov.sparse_solve", "markov.linear_solve")
+        }
+        for name in ("markov.sparse_solve", "markov.linear_solve"):
+            assert measures[name]["factorization"] == "lapack"
+            assert measures[name]["fill"] == info.fill > 0
+        assert measures["markov.sparse_solve"]["iterations"] == 0
+
+    def test_large_sparse_chain_is_factored_by_superlu(self):
+        rng = np.random.default_rng(9)
+        n = 400
+        dense = np.zeros((n, n))
+        for i in range(n):  # a ring plus random short jumps: a narrow band
+            dense[i, (i + 1) % n] = 1.0
+            dense[i, (i + rng.integers(-3, 4)) % n] += rng.uniform(0.1, 2.0)
+        np.fill_diagonal(dense, 0.0)
+        np.fill_diagonal(dense, -dense.sum(axis=1))
+        generator = sp.csr_array(dense)
+        pi, info = stationary_distribution_sparse(generator, what="test")
+        assert (info.solver, info.factorization) == ("direct", "superlu")
+        assert (info.iterations, info.reordering) == (0, "mmd")
+        gmres_pi, _ = stationary_distribution_sparse(generator, solver="gmres")
+        np.testing.assert_allclose(pi, gmres_pi, atol=1e-9, rtol=0.0)
 
 
 class TestTransientSparse:

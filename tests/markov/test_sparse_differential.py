@@ -4,10 +4,13 @@ Every net the experiment registry solves must produce the same
 stationary distribution (and the same Eq. 1 expected reliability) on
 the dense and the sparse route, to 1e-9 — enumerated over the registry
 itself so a newly registered experiment is pinned the moment it exists.
-Deterministic nets must be rejected identically by both CTMC-class
-routes.  Hypothesis then widens the net beyond the registry: random
-DSPN families (perception shapes with random rates, and random fleet
-sizings) must agree on both routes too.
+Both routes run the same anchored LU, so each net is also solved by an
+independent method, ILU-preconditioned GMRES (``solver="gmres"``), and
+the LU answer must agree with it to 1e-9 absolute plus the certified
+1e-8 relative bar.  Deterministic nets must be rejected identically by
+both CTMC-class routes.  Hypothesis then widens the net beyond the
+registry: random DSPN families (perception shapes with random rates,
+and random fleet sizings) must agree with the Krylov solve too.
 """
 
 import numpy as np
@@ -17,10 +20,12 @@ from hypothesis import strategies as st
 
 from repro.dspn.ctmc_builder import build_ctmc
 from repro.dspn.sparse_builder import sparse_generator
+from repro.dspn.rewards import reward_vector
 from repro.dspn.steady_state import solve_steady_state
 from repro.engine import cache_override
 from repro.errors import UnsupportedModelError
 from repro.experiments.registry import EXPERIMENT_IDS
+from repro.markov.sparse import stationary_distribution_sparse
 from repro.perception.fleet import FleetParameters, build_fleet_net
 from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
@@ -29,6 +34,18 @@ from repro.statespace import tangible_reachability
 from repro.verify.targets import experiment_targets
 
 AGREEMENT = 1e-9
+#: The solver's certified relative residual bar: an iterative answer
+#: is only as close as its residual, so large entries get this much.
+CERTIFIED = 1e-8
+
+
+def _krylov_pi(result):
+    """π of ``result``'s net by ILU-GMRES — a solve that shares no LU."""
+    pi, info = stationary_distribution_sparse(
+        sparse_generator(result.graph), solver="gmres"
+    )
+    assert info.factorization in ("ilu-gmres", "power")
+    return pi
 
 
 def _reward_function(target):
@@ -71,8 +88,17 @@ class TestRegistryDifferential:
                 rtol=0.0,
                 err_msg=f"{experiment_id}/{target.name}: pi disagrees",
             )
-            assert sparse.expected_reward(reward) == pytest.approx(
-                dense.expected_reward(reward), abs=AGREEMENT
+            krylov = _krylov_pi(dense)
+            np.testing.assert_allclose(
+                dense.pi,
+                krylov,
+                atol=AGREEMENT,
+                rtol=CERTIFIED,
+                err_msg=f"{experiment_id}/{target.name}: LU and GMRES disagree",
+            )
+            assert dense.expected_reward(reward) == pytest.approx(
+                float(krylov @ reward_vector(dense.markings, reward)),
+                abs=AGREEMENT,
             ), f"{experiment_id}/{target.name}: E[R] disagrees"
 
     @pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
@@ -110,11 +136,13 @@ class TestFleetDifferential:
             dense = solve_steady_state(net, method="ctmc")
             sparse = solve_steady_state(net, method="sparse")
         np.testing.assert_allclose(sparse.pi, dense.pi, atol=AGREEMENT, rtol=0.0)
+        krylov = _krylov_pi(dense)
+        np.testing.assert_allclose(dense.pi, krylov, atol=AGREEMENT, rtol=CERTIFIED)
         reward = lambda m: float(module_counts(m).healthy)  # noqa: E731
         # reward magnitudes reach n_modules here, so the E[R] bound is
         # looser than the per-entry pi bound
-        assert sparse.expected_reward(reward) == pytest.approx(
-            dense.expected_reward(reward), abs=1e-7
+        assert dense.expected_reward(reward) == pytest.approx(
+            float(krylov @ reward_vector(dense.markings, reward)), abs=1e-7
         )
 
 
@@ -164,11 +192,9 @@ class TestRandomFamilies:
         with cache_override(enabled=False):
             dense = solve_steady_state(net, method="ctmc")
             sparse = solve_steady_state(net, method="sparse")
-        # random rates reach the edge of the solver's certified 1e-8
-        # relative-residual bar, so large entries get the matching
-        # relative allowance on top of the absolute one
+        np.testing.assert_allclose(sparse.pi, dense.pi, atol=AGREEMENT, rtol=0.0)
         np.testing.assert_allclose(
-            sparse.pi, dense.pi, atol=AGREEMENT, rtol=1e-8
+            dense.pi, _krylov_pi(dense), atol=AGREEMENT, rtol=CERTIFIED
         )
 
     @settings(max_examples=10, deadline=None)
@@ -194,6 +220,7 @@ class TestRandomFamilies:
         with cache_override(enabled=False):
             dense = solve_steady_state(net, method="ctmc")
             sparse = solve_steady_state(net, method="sparse")
+        np.testing.assert_allclose(sparse.pi, dense.pi, atol=AGREEMENT, rtol=0.0)
         np.testing.assert_allclose(
-            sparse.pi, dense.pi, atol=AGREEMENT, rtol=1e-8
+            dense.pi, _krylov_pi(dense), atol=AGREEMENT, rtol=CERTIFIED
         )

@@ -91,6 +91,17 @@ class TestHistogram:
         assert h.quantile(0.0) == -3.0  # clamped into the exact envelope
         assert h.quantile(1.0) == 4.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_are_rejected_before_any_change(self, value):
+        h = MetricsRegistry().histogram("h")
+        h.observe(2.0)
+        before = (h.count, h.total, h.min, h.max, dict(h.buckets))
+        with pytest.raises(ValueError, match="finite"):
+            h.observe(value)
+        with pytest.raises(ValueError, match="finite"):
+            h.observe_many([1.0] * 20 + [value])
+        assert (h.count, h.total, h.min, h.max, dict(h.buckets)) == before
+
     def test_quantiles_survive_merge(self):
         """Serial and merged-parallel histograms answer identically."""
         serial = MetricsRegistry()
