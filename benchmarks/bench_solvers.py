@@ -1,7 +1,7 @@
 """Substrate benchmarks: the analytic solver pipeline itself.
 
-Measures the cost of the two solver routes (CTMC for Fig. 2a nets, MRGP
-for Fig. 2b/c nets) as the module count grows — the knob that blows up
+Measures the cost of the two solver routes (the CSR CTMC route for
+Fig. 2a nets, MRGP for Fig. 2b/c nets) as the module count grows — the knob that blows up
 the state space.
 """
 
@@ -15,13 +15,13 @@ from repro.perception.rejuvenation import build_rejuvenation_net
 
 @pytest.mark.parametrize("n_modules", [4, 8, 16])
 def bench_ctmc_steady_state(benchmark, n_modules):
-    """Fig. 2(a) pipeline: reachability + vanishing + CTMC solve."""
+    """Fig. 2(a) pipeline: reachability + vanishing + CSR CTMC solve."""
     parameters = PerceptionParameters(
         n_modules=n_modules, f=1, rejuvenation=False
     )
     net = build_no_rejuvenation_net(parameters)
     result = benchmark(solve_steady_state, net)
-    assert result.method == "ctmc"
+    assert result.method == "sparse"
 
 
 @pytest.mark.parametrize("n_modules", [6, 9, 12])

@@ -33,7 +33,6 @@ from repro.dspn.steady_state import (
     METHODS,
     SteadyStateResult,
     route_exponential,
-    routing_policy,
     solve_steady_state,
 )
 from repro.dspn.transient import transient_rewards
@@ -46,7 +45,6 @@ __all__ = [
     "replication_averages",
     "reward_vector",
     "route_exponential",
-    "routing_policy",
     "simulate",
     "solve_steady_state",
     "sparse_generator",

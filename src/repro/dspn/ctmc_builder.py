@@ -1,4 +1,9 @@
-"""Build a CTMC from a tangible reachability graph (exponential-only nets)."""
+"""Build a dense CTMC from the tangible graph of an exponential-only net.
+
+The steady-state and transient solvers run on the CSR generator of
+:mod:`repro.dspn.sparse_builder`; the dense :class:`~repro.markov.ctmc.CTMC`
+built here serves generator sensitivities and user-built dense chains.
+"""
 
 from __future__ import annotations
 

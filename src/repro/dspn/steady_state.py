@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.dspn.ctmc_builder import build_ctmc
 from repro.dspn.mrgp_builder import build_mrgp_kernels
 from repro.dspn.rewards import RewardFunction, reward_vector
 from repro.dspn.sparse_builder import sparse_generator
@@ -24,17 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verify.certify import Certificate
 
 #: Analytic routes accepted by :func:`solve_steady_state`.
-METHODS = ("auto", "ctmc", "mrgp", "sparse")
-
-#: ``method="auto"`` switches exponential-only nets from the dense
-#: generator (O(n²) memory) to the CSR route at this state count.  Both
-#: run the same anchored stationary solve, which picks its own
-#: factorization by structural fill (:mod:`repro.markov.linear`).
-SPARSE_STATE_THRESHOLD = 1500
-
-#: Generators denser than this stay on the dense route regardless of
-#: size: a near-dense pattern gains nothing from CSR storage.
-SPARSE_DENSITY_CEILING = 0.05
+METHODS = ("auto", "mrgp", "sparse")
 
 
 @dataclass
@@ -48,8 +37,7 @@ class SteadyStateResult:
     pi:
         Long-run time-average probability of each marking.
     method:
-        ``"ctmc"``, ``"mrgp"`` or ``"sparse"`` — which analytic route
-        was taken.
+        ``"mrgp"`` or ``"sparse"`` — which analytic route was taken.
     graph:
         The underlying tangible reachability graph (for diagnostics).
     certificate:
@@ -59,7 +47,7 @@ class SteadyStateResult:
     solver_info:
         Solve provenance (factorization, fill estimate, iterations,
         achieved residual) when the sparse route produced ``pi``;
-        ``None`` for the dense and MRGP routes.
+        ``None`` for the MRGP route.
     """
 
     markings: list[Marking]
@@ -86,45 +74,13 @@ class SteadyStateResult:
         return pairs
 
 
-def routing_policy() -> dict[str, Any]:
-    """The auto-routing thresholds, for manifests and diagnostics."""
-    return {
-        "sparse_state_threshold": SPARSE_STATE_THRESHOLD,
-        "sparse_density_ceiling": SPARSE_DENSITY_CEILING,
-    }
-
-
 def route_exponential(graph: TangibleGraph) -> dict[str, Any]:
-    """The ``method="auto"`` routing decision for an exponential-only net.
+    """The route of an exponential-only net, as ``dspn.route`` span attrs.
 
-    Routes to the sparse (CSR) path when the state space is large
-    *and* the generator is sparse; dense otherwise.  Returned as a
-    plain dict — the same record lands as span attributes (the decision
-    is a deterministic function of the graph, hence trace-stable) and
-    in the :class:`~repro.obs.manifest.RunManifest` of runs that solved
-    under ``auto``.
+    Every exponential-only net takes the CSR route; the record names it
+    with the state count so traces show which route produced a number.
     """
-    states = graph.n_states
-    density = graph.generator_density()
-    sparse = states >= SPARSE_STATE_THRESHOLD and density <= SPARSE_DENSITY_CEILING
-    return {
-        "route": "sparse" if sparse else "ctmc",
-        "states": states,
-        "density": round(density, 9),
-        "state_threshold": SPARSE_STATE_THRESHOLD,
-        "density_ceiling": SPARSE_DENSITY_CEILING,
-    }
-
-
-#: Routing decisions taken under ``method="auto"`` in this process, by
-#: net name — surfaced in :func:`repro.obs.manifest.collect_manifest` so
-#: a benchmark artifact records which route produced its numbers.
-_ROUTING_DECISIONS: dict[str, str] = {}
-
-
-def routing_decisions() -> dict[str, str]:
-    """Net name → resolved route for every auto-solve so far (a copy)."""
-    return dict(sorted(_ROUTING_DECISIONS.items()))
+    return {"route": "sparse", "states": graph.n_states}
 
 
 def _verification_tolerance(verify: "bool | float | None") -> float | None:
@@ -154,27 +110,21 @@ def solve_steady_state(
 ) -> SteadyStateResult:
     """Solve ``net`` for its stationary marking distribution.
 
-    ``method="auto"`` dispatches on the model class and size: nets
-    enabling deterministic transitions are solved as MRGPs; exponential-
-    only nets are solved as CTMCs — densely below
-    :data:`SPARSE_STATE_THRESHOLD` states, via the sparse CSR route
-    (:mod:`repro.markov.sparse`) above it (see :func:`route_exponential`;
-    the decision is recorded on the ``dspn.route`` span and in run
-    manifests).  ``"ctmc"`` insists on the dense CTMC route (raising on
-    deterministic nets); ``"sparse"`` insists on the sparse route at any
-    size (also CTMC-class only); ``"mrgp"`` forces the MRGP route even
-    for exponential-only nets, where its renewal equations reduce to the
-    embedded-chain solution — the routes must then agree, which the
-    differential harnesses in ``tests/engine/`` and ``tests/markov/``
-    exploit.
+    ``method="auto"`` dispatches on the model class: nets enabling
+    deterministic transitions are solved as MRGPs; exponential-only nets
+    are solved as CTMCs on their CSR generator (:mod:`repro.markov.sparse`;
+    the route is recorded on the ``dspn.route`` span).  ``"sparse"``
+    insists on the CSR route (raising on deterministic nets); ``"mrgp"``
+    forces the MRGP route even for exponential-only nets, where its
+    renewal equations reduce to the embedded-chain solution — the routes
+    must then agree, which the differential harness in ``tests/engine/``
+    exploits.
 
     Solutions are memoized in the engine's solver cache (keyed by the
     canonical net fingerprint plus ``max_states`` and the *requested*
     ``method``) unless caching is disabled globally or via
-    ``use_cache=False``.  An ``auto`` entry may therefore carry either
-    resolved route; route equivalence is guaranteed by certification,
-    not by key separation (see docs/SOLVERS.md).  Cached results are
-    shared objects: treat them as immutable.
+    ``use_cache=False``.  Cached results are shared objects: treat them
+    as immutable.
 
     ``verify`` requests a post-hoc numerical certificate of the returned
     distribution (see :mod:`repro.verify.certify`): ``True`` certifies
@@ -197,8 +147,7 @@ def solve_steady_state(
     UnsupportedModelError
         If some tangible marking enables more than one deterministic
         transition (fall back to :func:`repro.dspn.simulate.simulate`),
-        or if ``method="ctmc"`` or ``method="sparse"`` is requested for
-        a deterministic net.
+        or if ``method="sparse"`` is requested for a deterministic net.
     SolverError
         If the resulting process has no unique stationary distribution.
     VerificationError
@@ -303,11 +252,10 @@ def _solve_uncached(
     """The actual reachability + solve pipeline, without memoization."""
     graph = tangible_reachability(net, max_states=max_states)
     deterministic = graph.has_deterministic()
-    if method in ("ctmc", "sparse") and deterministic:
+    if method == "sparse" and deterministic:
         raise UnsupportedModelError(
             f"net {net.name!r} enables deterministic transitions; the "
-            f"{'CTMC' if method == 'ctmc' else 'sparse'} route cannot solve "
-            "it — use method='auto' or 'mrgp'"
+            "sparse route cannot solve it — use method='auto' or 'mrgp'"
         )
     if deterministic or method == "mrgp":
         kernel, sojourn = build_mrgp_kernels(graph)
@@ -316,30 +264,15 @@ def _solve_uncached(
             markings=graph.markings, pi=solution.pi, method="mrgp", graph=graph
         )
 
-    route = method
     if method == "auto":
-        decision = route_exponential(graph)
-        route = decision["route"]
-        _ROUTING_DECISIONS[net.name] = route
-        with span("dspn.route", **decision):
+        with span("dspn.route", **route_exponential(graph)):
             pass
-
-    if route == "sparse":
-        generator = sparse_generator(graph)
-        pi, info = stationary_distribution_sparse(
-            generator, what=f"net {net.name!r}"
-        )
-        return SteadyStateResult(
-            markings=graph.markings,
-            pi=pi,
-            method="sparse",
-            graph=graph,
-            solver_info=info,
-        )
-    ctmc = build_ctmc(graph)
+    generator = sparse_generator(graph)
+    pi, info = stationary_distribution_sparse(generator, what=f"net {net.name!r}")
     return SteadyStateResult(
         markings=graph.markings,
-        pi=ctmc.stationary_distribution(),
-        method="ctmc",
+        pi=pi,
+        method="sparse",
         graph=graph,
+        solver_info=info,
     )

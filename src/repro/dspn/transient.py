@@ -5,11 +5,9 @@ of the natural extensions this library ships: "what is the expected
 output reliability t seconds after a fresh deployment?".
 
 Only nets without deterministic transitions are supported analytically
-(uniformization on the underlying CTMC); for rejuvenating nets use the
-discrete-event simulator with a finite horizon.  Like the stationary
-solver, the transient path routes between a dense and a sparse (CSR)
-uniformization by state count — both share the same Poisson-series
-truncation, so the routes agree to the series tolerance.
+(uniformization on the CSR generator of the underlying CTMC, the same
+generator the stationary solver uses); for rejuvenating nets use the
+discrete-event simulator with a finite horizon.
 """
 
 from __future__ import annotations
@@ -19,19 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dspn.ctmc_builder import build_ctmc
 from repro.dspn.rewards import RewardFunction, reward_vector
 from repro.dspn.sparse_builder import sparse_generator
-from repro.dspn.steady_state import SPARSE_STATE_THRESHOLD
-from repro.errors import ParameterError, UnsupportedModelError
+from repro.errors import UnsupportedModelError
 from repro.markov.sparse import transient_distribution_sparse
 from repro.obs import span
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.statespace import tangible_reachability
-
-#: Routes accepted by :func:`transient_rewards`.
-TRANSIENT_METHODS = ("auto", "dense", "sparse")
 
 
 @dataclass
@@ -42,7 +35,6 @@ class TransientResult:
     rewards: list[float]
     markings: list[Marking]
     distributions: np.ndarray  # shape (len(times), n_markings)
-    method: str = "dense"  # "dense" or "sparse" — which route ran
 
 
 def transient_rewards(
@@ -51,56 +43,30 @@ def transient_rewards(
     times: Sequence[float],
     *,
     max_states: int = 200_000,
-    method: str = "auto",
 ) -> TransientResult:
     """Expected instantaneous reward at each time in ``times``.
 
     The initial distribution is the net's initial marking (resolved
-    through vanishing markings if needed).  ``method="auto"`` switches
-    from dense to CSR uniformization at the stationary solver's
-    :data:`~repro.dspn.steady_state.SPARSE_STATE_THRESHOLD`; ``"dense"``
-    and ``"sparse"`` force a route.
+    through vanishing markings if needed).
     """
-    if method not in TRANSIENT_METHODS:
-        raise ParameterError(
-            f"unknown method {method!r}; "
-            f"valid methods: {', '.join(sorted(TRANSIENT_METHODS))}"
-        )
     graph = tangible_reachability(net, max_states=max_states)
     if graph.has_deterministic():
         raise UnsupportedModelError(
             "transient analysis supports exponential-only nets; "
             "use the discrete-event simulator for deterministic transitions"
         )
-    route = method
-    if method == "auto":
-        route = "sparse" if graph.n_states >= SPARSE_STATE_THRESHOLD else "dense"
     rewards = reward_vector(graph.markings, reward)
     initial = np.asarray(graph.initial_distribution, dtype=float)
 
-    with span("dspn.transient", states=graph.n_states, route=route):
-        if route == "sparse":
-            generator = sparse_generator(graph)
-
-            def distribution_at(time: float) -> np.ndarray:
-                return transient_distribution_sparse(generator, initial, time)
-
-        else:
-            ctmc = build_ctmc(graph)
-
-            def distribution_at(time: float) -> np.ndarray:
-                return ctmc.transient(initial, time)
-
-        trajectory = []
-        distributions = []
-        for time in times:
-            distribution = distribution_at(float(time))
-            distributions.append(distribution)
-            trajectory.append(float(distribution @ rewards))
+    with span("dspn.transient", states=graph.n_states):
+        generator = sparse_generator(graph)
+        distributions = [
+            transient_distribution_sparse(generator, initial, float(time))
+            for time in times
+        ]
     return TransientResult(
         times=[float(t) for t in times],
-        rewards=trajectory,
+        rewards=[float(distribution @ rewards) for distribution in distributions],
         markings=graph.markings,
         distributions=np.array(distributions),
-        method=route,
     )

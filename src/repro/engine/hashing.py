@@ -45,6 +45,14 @@ from repro.petri.transition import (
 #: entries (in memory or on disk) then miss instead of aliasing.
 FINGERPRINT_VERSION = 1
 
+#: Bump whenever the solver code changes the numbers or labels it
+#: produces for a key; solver and reward entries stored under an older
+#: revision (in memory or on disk) then miss and are recomputed.
+#: Revision 2: every exponential-only net is solved on its CSR generator
+#: (``method="sparse"``, no more ``"ctmc"``), and the anchored solve
+#: keeps the positive mass below 1e-10 that older code dropped.
+SOLVER_REVISION = 2
+
 #: Token-count levels used for the single-place probe markings.
 _PROBE_LEVELS = (1, 2, 5)
 
@@ -149,8 +157,12 @@ def solver_cache_key(net: PetriNet, *, max_states: int, method: str) -> str:
     Includes the solver options because they change the *outcome*:
     ``max_states`` bounds reachability (a net solvable under one bound
     may raise under another) and ``method`` selects the analytic route.
+    :data:`SOLVER_REVISION` keeps results of older solver code out.
     """
-    base = f"{net_fingerprint(net)}|max_states={max_states}|method={method}"
+    base = (
+        f"{net_fingerprint(net)}|max_states={max_states}|method={method}"
+        f"|solver={SOLVER_REVISION}"
+    )
     return hashlib.sha256(base.encode()).hexdigest()
 
 
@@ -181,11 +193,12 @@ def reward_cache_key(
     The derived-value tier of the cache: E[R_sys] for (net fingerprint,
     reliability function, solver bound, solver route).  ``method`` is
     keyed for the same reason as in :func:`solver_cache_key`: it selects
-    the route, and a forced route can refuse a net ``auto`` solves.  Keys
-    are disjoint from solver keys by the leading tag.
+    the route, and a forced route can refuse a net ``auto`` solves;
+    :data:`SOLVER_REVISION` is keyed as there too.  Keys are disjoint
+    from solver keys by the leading tag.
     """
     base = (
         f"reward|{fingerprint}|{reliability_fp}"
-        f"|max_states={max_states}|method={method}"
+        f"|max_states={max_states}|method={method}|solver={SOLVER_REVISION}"
     )
     return hashlib.sha256(base.encode()).hexdigest()

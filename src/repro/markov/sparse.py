@@ -6,15 +6,17 @@ The generator stays in CSR form end-to-end:
   anchored formulation of :func:`repro.markov.linear.stationary_solve`
   (recurrent class, one pinned anchor state, one factorization chosen
   by structural fill: LAPACK, SuperLU or ILU-preconditioned GMRES, with
-  a power-iteration fallback).  The dense route runs the same solve, so
-  both routes decide uniqueness with one structural check and raise the
-  same :class:`~repro.errors.SolverError` text on reducible chains.
+  a power-iteration fallback).  A dense :class:`~repro.markov.ctmc.CTMC`
+  runs the same solve, so both decide uniqueness with one structural
+  check and raise the same :class:`~repro.errors.SolverError` text on
+  reducible chains.
 * :func:`transient_distribution_sparse` — Jensen's uniformization with a
   CSR matrix-vector product, sharing the Poisson-series truncation with
-  the dense route (:func:`repro.markov.uniformization.uniformized_series`).
+  :meth:`CTMC.transient <repro.markov.ctmc.CTMC.transient>`
+  (:func:`repro.markov.uniformization.uniformized_series`).
 
-Acceptance mirrors the dense bar exactly (it is the same solve): a
-solution is returned only if ‖πQ‖∞ / Σπ ≤ 1e-8·max(1, |Q|ₘₐₓ).
+Acceptance is the anchored solve's bar: a solution is returned only if
+‖πQ‖∞ / Σπ ≤ 1e-8·max(1, |Q|ₘₐₓ).
 """
 
 from __future__ import annotations
@@ -131,9 +133,10 @@ def transient_distribution_sparse(
     """Distribution at ``time`` via uniformization with CSR products.
 
     The Poisson-series truncation is shared verbatim with the dense
-    route (:func:`repro.markov.uniformization.uniformized_series`); only
-    the matrix-vector product differs, so dense and sparse transients
-    agree to the series tolerance.
+    :meth:`CTMC.transient <repro.markov.ctmc.CTMC.transient>`
+    (:func:`repro.markov.uniformization.uniformized_series`); only the
+    matrix-vector product differs, so the two agree to the series
+    tolerance.
     """
     generator = check_sparse_generator(generator, what=what)
     if time < 0:

@@ -36,7 +36,6 @@ class RunManifest:
     platform: str = ""
     cache_policy: dict[str, Any] = field(default_factory=dict)
     clock: str = "monotonic"
-    solver_routing: dict[str, Any] = field(default_factory=dict)
     #: Error-rate certificates of any armed watch detectors
     #: (:meth:`repro.obs.watch.Watcher.certificates`) — empty when the
     #: run had no watcher.
@@ -54,7 +53,6 @@ class RunManifest:
             "platform": self.platform,
             "cache_policy": dict(self.cache_policy),
             "clock": self.clock,
-            "solver_routing": dict(self.solver_routing),
             "detectors": [dict(certificate) for certificate in self.detectors],
         }
 
@@ -88,16 +86,8 @@ def collect_manifest(
     """Build a manifest for the current process and the given workload."""
     import numpy
 
-    from repro.dspn.steady_state import routing_decisions, routing_policy
     from repro.engine.cache import cache_settings
     from repro.obs.clock import clock_settings
-
-    # The auto-routing policy plus every route it resolved in this
-    # process: deterministic for a given workload sequence, so manifests
-    # stay byte-reproducible while recording which solver produced the
-    # numbers (docs/SOLVERS.md).
-    solver_routing = dict(routing_policy())
-    solver_routing["decisions"] = routing_decisions()
 
     return RunManifest(
         experiment=experiment,
@@ -110,6 +100,5 @@ def collect_manifest(
         platform=platform.platform(),
         cache_policy=cache_settings(),
         clock=clock_settings()["kind"],
-        solver_routing=solver_routing,
         detectors=tuple(detectors),
     )

@@ -183,7 +183,6 @@ def _bench_sparse_transient() -> None:
         net,
         lambda marking: float(module_counts(marking).healthy),
         times=(60.0, 300.0, 900.0, 1800.0, 3600.0),
-        method="sparse",
     )
 
 

@@ -77,6 +77,44 @@ class SpanRecord:
         }
 
 
+def shift_records(
+    records: list[SpanRecord],
+    *,
+    offset: int,
+    parent: int | None,
+    process: int,
+    thread: int,
+) -> tuple[list[SpanRecord], int]:
+    """Copies of ``records`` re-homed under ``parent``, and the next free id.
+
+    Every span id is shifted by ``offset``; root records
+    (``parent_id is None``) hang from ``parent`` and every copy is
+    stamped with the ``process``/``thread`` lane.  The returned id is
+    the first one past the shifted records (``offset`` when there are
+    none).  :meth:`Tracer.graft` and the service's per-request trace
+    assembly both reassemble captured spans through this one function.
+    """
+    shifted = [
+        SpanRecord(
+            span_id=record.span_id + offset,
+            parent_id=(
+                parent if record.parent_id is None else record.parent_id + offset
+            ),
+            name=record.name,
+            attrs=dict(record.attrs),
+            start=record.start,
+            end=record.end,
+            measures=dict(record.measures),
+            status=record.status,
+            process=process,
+            thread=thread,
+        )
+        for record in records
+    ]
+    next_id = max((record.span_id + 1 for record in shifted), default=offset)
+    return shifted, next_id
+
+
 class _NullSpan:
     """The disabled path: a shared, stateless, reusable context manager."""
 
@@ -172,28 +210,14 @@ class Tracer:
         """
         if not records:
             return
-        offset = self._next_id
-        parent = self._stack[-1] if self._stack else None
-        for record in records:
-            self.records.append(
-                SpanRecord(
-                    span_id=record.span_id + offset,
-                    parent_id=(
-                        parent
-                        if record.parent_id is None
-                        else record.parent_id + offset
-                    ),
-                    name=record.name,
-                    attrs=dict(record.attrs),
-                    start=record.start,
-                    end=record.end,
-                    measures=dict(record.measures),
-                    status=record.status,
-                    process=process,
-                    thread=thread,
-                )
-            )
-        self._next_id = offset + max(record.span_id for record in records) + 1
+        shifted, self._next_id = shift_records(
+            records,
+            offset=self._next_id,
+            parent=self._stack[-1] if self._stack else None,
+            process=process,
+            thread=thread,
+        )
+        self.records.extend(shifted)
 
     def roots(self) -> list["TraceNode"]:
         """Assemble the records into a forest of :class:`TraceNode`."""

@@ -16,7 +16,8 @@ or the single point of a traced ``/v1/solve``).  :func:`assemble_trace`
 lays the points out on deterministic worker lanes — lane ``i + 1`` for
 point ``i``, mirroring how :mod:`repro.engine.sweep` stamps grafted
 chunks — beneath a synthetic root span, re-parenting and id-shifting
-the worker records exactly like :meth:`Tracer.graft` does.  Cache-hit
+the worker records through the same
+:func:`~repro.obs.tracer.shift_records` as :meth:`Tracer.graft`.  Cache-hit
 and coalesced points carry no records; they render as zero-length
 spans annotated with their ``cache`` source, so a trace shows *why*
 a point was cheap, not just that it was.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.tracer import SpanRecord
+from repro.obs.tracer import SpanRecord, shift_records
 
 #: Bounded retention of per-request traces (oldest evicted first).
 DEFAULT_TRACE_RETENTION = 64
@@ -103,29 +104,14 @@ def assemble_trace(
             thread=0,
         )
         records.append(point_record)
-        offset = next_id + 1
-        top_id = point_record.span_id
-        for record in point.records:
-            records.append(
-                SpanRecord(
-                    span_id=record.span_id + offset,
-                    parent_id=(
-                        point_record.span_id
-                        if record.parent_id is None
-                        else record.parent_id + offset
-                    ),
-                    name=record.name,
-                    attrs=dict(record.attrs),
-                    start=record.start,
-                    end=record.end,
-                    measures=dict(record.measures),
-                    status=record.status,
-                    process=lane,
-                    thread=0,
-                )
-            )
-            top_id = max(top_id, record.span_id + offset)
-        next_id = top_id + 1
+        shifted, next_id = shift_records(
+            point.records,
+            offset=point_record.span_id + 1,
+            parent=point_record.span_id,
+            process=lane,
+            thread=0,
+        )
+        records.extend(shifted)
         total_end = max(total_end, end)
     root.end = total_end
     return records

@@ -25,6 +25,7 @@ import json
 import math
 from typing import TYPE_CHECKING, Any
 
+from repro.dspn.steady_state import METHODS
 from repro.engine.cache import configure_cache
 from repro.errors import ReproError
 from repro.perception.parameters import PerceptionParameters
@@ -56,7 +57,6 @@ _PRESETS = {
 }
 
 DEFAULT_MAX_STATES = 200_000
-METHODS = ("auto", "ctmc", "mrgp", "sparse")
 
 
 class SpecError(ReproError):

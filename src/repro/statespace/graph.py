@@ -96,24 +96,3 @@ class TangibleGraph:
     def exit_rate(self, state: int) -> float:
         """Total exponential rate out of ``state``."""
         return sum(edge.rate for edge in self.exponential_edges[state])
-
-    def timed_edge_count(self) -> int:
-        """Number of (source, target) rate contributions across all states.
-
-        An upper bound on the off-diagonal nnz of the CTMC generator
-        (edges to the same target coalesce; self-loops drop out), cheap
-        to compute without building any matrix — the solver's auto
-        routing uses it to estimate generator density.
-        """
-        return sum(
-            len(edge.targets)
-            for edges in self.exponential_edges
-            for edge in edges
-        )
-
-    def generator_density(self) -> float:
-        """Estimated nnz / n² of the CTMC generator (diagonal included)."""
-        n = self.n_states
-        if n == 0:
-            return 0.0
-        return min(1.0, (self.timed_edge_count() + n) / (n * n))

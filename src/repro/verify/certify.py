@@ -7,15 +7,14 @@ solver's internal algebra:
 
 * ``pi-nonnegative`` — min π ≥ −tolerance;
 * ``pi-normalized`` — |Σπ − 1| ≤ tolerance;
-* ``ctmc-balance`` — ‖πQ‖∞ ≤ tolerance, with the generator ``Q``
-  rebuilt from the tangible graph (CTMC route);
 * ``mrgp-embedded-fixed-point`` / ``mrgp-renewal`` — the embedded
   chain's stationary vector φ is recomputed from the rebuilt global
   kernel ``K``; the certificate checks ‖φK − φ‖∞ and that the renewal
   reconstruction φU / (φU·1) reproduces π (MRGP route);
-* ``sparse-balance`` / ``sparse-solver-record`` — the sparse route's
-  ‖πQ‖∞ recomputed against a freshly built CSR generator (never
-  densified), plus an audit of the solve's provenance record
+* ``sparse-balance`` / ``sparse-solver-record`` — the CTMC route's
+  ‖πQ‖∞ ≤ tolerance, recomputed against a CSR generator rebuilt from
+  the tangible graph (never densified), plus an audit of the solve's
+  provenance record
   (:class:`~repro.markov.sparse.SparseSolveInfo`, which names the
   factorization and its fill estimate): the record must be present and
   its achieved residual within the tolerance it reported — a sparse
@@ -44,8 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Bump when the check set or semantics change; older persisted
 #: certificates are then *stale* and the cache refuses to serve them.
-#: Version 2 added the sparse-route checks.
-CERTIFICATE_VERSION = 2
+#: Version 2 added the sparse-route checks; version 3 dropped the dense
+#: ``ctmc-balance`` check, so every exponential-only result certifies by
+#: ``sparse-balance`` and ``sparse-solver-record``.
+CERTIFICATE_VERSION = 3
 
 #: Default residual tolerance (the acceptance bar for the shipped nets).
 DEFAULT_TOLERANCE = 1e-9
@@ -168,9 +169,7 @@ def certify_steady_state(
         ),
     ]
 
-    if result.method == "ctmc":
-        checks.append(_ctmc_balance_check(result, pi, tolerance))
-    elif result.method == "mrgp":
+    if result.method == "mrgp":
         checks.extend(_mrgp_checks(result, pi, tolerance))
     elif result.method == "sparse":
         checks.extend(_sparse_checks(result, pi, tolerance))
@@ -191,23 +190,6 @@ def certify_steady_state(
         n_states=len(pi),
         tolerance=tolerance,
         checks=tuple(checks),
-    )
-
-
-def _ctmc_balance_check(
-    result: "SteadyStateResult", pi: np.ndarray, tolerance: float
-) -> CertificateCheck:
-    """‖πQ‖∞ with the generator rebuilt from the tangible graph."""
-    from repro.dspn.ctmc_builder import build_ctmc
-
-    generator = build_ctmc(result.graph).generator
-    residual = float(np.max(np.abs(pi @ generator))) if pi.size else 0.0
-    return CertificateCheck(
-        name="ctmc-balance",
-        passed=residual <= tolerance,
-        value=residual,
-        tolerance=tolerance,
-        detail="max |pi Q|",
     )
 
 
@@ -248,11 +230,11 @@ def _sparse_checks(
 ) -> list[CertificateCheck]:
     """Balance residual via a rebuilt CSR generator, plus the solve audit.
 
-    The balance check mirrors ``ctmc-balance`` but never densifies —
-    certification must stay cheap at the state counts the sparse route
-    exists for.  The record check makes solve provenance mandatory:
-    a sparse π with no :class:`~repro.markov.sparse.SparseSolveInfo`
-    (or one whose achieved residual exceeds the bar it claims) fails.
+    The balance check never densifies, so certification stays cheap at
+    every state count.  The record check makes solve provenance
+    mandatory: a sparse π with no
+    :class:`~repro.markov.sparse.SparseSolveInfo` (or one whose achieved
+    residual exceeds the bar it claims) fails.
     """
     from repro.dspn.sparse_builder import sparse_generator
 

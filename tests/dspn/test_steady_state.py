@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 
 from repro.dspn import solve_steady_state
-from repro.dspn.steady_state import (
-    METHODS,
-    SPARSE_STATE_THRESHOLD,
-    route_exponential,
-    routing_policy,
-)
+from repro.dspn.steady_state import METHODS, route_exponential
 from repro.errors import ParameterError, UnsupportedModelError
 from repro.statespace import tangible_reachability
 
 
 class TestDispatch:
     def test_exponential_net_uses_ctmc(self, two_state_net):
-        result = solve_steady_state(two_state_net)
-        assert result.method == "ctmc"
+        # a CTMC-class net is solved on its CSR generator, with a record
+        result = solve_steady_state(two_state_net, use_cache=False)
+        assert result.method == "sparse"
+        assert result.solver_info is not None
 
     def test_deterministic_net_uses_mrgp(self, clocked_net):
         result = solve_steady_state(clocked_net)
@@ -33,16 +30,12 @@ class TestDispatch:
         with pytest.raises(UnsupportedModelError, match="sparse route"):
             solve_steady_state(clocked_net, method="sparse", use_cache=False)
 
-    def test_dense_routes_carry_no_solver_record(self, two_state_net):
-        result = solve_steady_state(two_state_net, use_cache=False)
-        assert result.solver_info is None
-
 
 class TestMethodValidation:
     def test_unknown_method_rejected_eagerly_with_sorted_list(self, two_state_net):
         with pytest.raises(
             ParameterError,
-            match=r"unknown method 'simplex'; valid methods: auto, ctmc, mrgp, sparse",
+            match=r"unknown method 'simplex'; valid methods: auto, mrgp, sparse",
         ):
             solve_steady_state(two_state_net, method="simplex")
 
@@ -53,21 +46,23 @@ class TestMethodValidation:
             solve_steady_state(object(), method="nope")
 
     def test_methods_tuple_is_sorted_in_the_error(self, two_state_net):
-        assert sorted(METHODS) == ["auto", "ctmc", "mrgp", "sparse"]
+        assert sorted(METHODS) == ["auto", "mrgp", "sparse"]
+
+    def test_ctmc_method_rejected_before_any_state_space_work(self):
+        with pytest.raises(
+            ParameterError,
+            match=r"unknown method 'ctmc'; valid methods: auto, mrgp, sparse",
+        ):
+            solve_steady_state(object(), method="ctmc")
 
 
 class TestAutoRouting:
-    def test_small_graphs_route_dense(self, two_state_net):
+    def test_every_exponential_graph_routes_sparse(self, two_state_net):
         graph = tangible_reachability(two_state_net)
-        decision = route_exponential(graph)
-        assert decision["route"] == "ctmc"
-        assert decision["states"] == graph.n_states
-        assert decision["state_threshold"] == SPARSE_STATE_THRESHOLD
-
-    def test_policy_snapshot_names_both_thresholds(self):
-        policy = routing_policy()
-        assert policy["sparse_state_threshold"] == SPARSE_STATE_THRESHOLD
-        assert 0.0 < policy["sparse_density_ceiling"] < 1.0
+        assert route_exponential(graph) == {
+            "route": "sparse",
+            "states": graph.n_states,
+        }
 
 
 class TestInvariant:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.dspn.steady_state import solve_steady_state
-from repro.engine import cache_override, configure_cache
+from repro.engine import cache_override, configure_cache, hashing
 from repro.engine.cache import SolverCache, active_cache, cache_settings
+from repro.perception.evaluation import Evaluation
 from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
 
@@ -137,6 +138,37 @@ class TestCachePoisoningGuard:
             solve_steady_state(net)
             assert cache.stats()["disk_hits"] == 1
             assert cache.stats()["rejected"] == 0
+
+
+class TestSolverRevision:
+    """Entries written by older solver code miss instead of being served."""
+
+    @staticmethod
+    def _expected_reliability():
+        parameters = PerceptionParameters.four_version_defaults()
+        return Evaluation(parameters).expected_reliability()
+
+    def test_entry_stored_under_previous_revision_is_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                hashing, "SOLVER_REVISION", hashing.SOLVER_REVISION - 1
+            )
+            with cache_override(enabled=True, directory=tmp_path):
+                stored = self._expected_reliability()
+            with cache_override(enabled=True, directory=tmp_path) as cache:
+                self._expected_reliability()
+                assert cache.stats()["disk_hits"] == 1  # served at its revision
+        stale = _entry_files(tmp_path)
+        assert len(stale) == 2  # one solver entry, one reward entry
+
+        with cache_override(enabled=True, directory=tmp_path) as cache:
+            value = self._expected_reliability()
+            assert cache.stats()["disk_hits"] == 0
+            assert cache.stats()["misses"] == 2
+        assert value == stored
+        assert set(stale) < set(_entry_files(tmp_path))
 
 
 class TestProcessWidePolicy:

@@ -69,9 +69,9 @@ class TestSolverRouteAgreement:
     @pytest.mark.parametrize("net", _exponential_only_nets())
     def test_ctmc_and_mrgp_agree(self, net):
         with cache_override(enabled=False):
-            ctmc = solve_steady_state(net, method="ctmc")
+            ctmc = solve_steady_state(net)
             mrgp = solve_steady_state(net, method="mrgp")
-        assert ctmc.method == "ctmc"
+        assert ctmc.method == "sparse"
         assert mrgp.method == "mrgp"
         assert ctmc.markings == mrgp.markings
         np.testing.assert_allclose(mrgp.pi, ctmc.pi, atol=1e-10)
@@ -81,7 +81,7 @@ class TestSolverRouteAgreement:
             PerceptionParameters.four_version_defaults()
         )
         with cache_override(enabled=False):
-            assert solve_steady_state(net).method == "ctmc"
+            assert solve_steady_state(net).method == "sparse"
 
     def test_auto_picks_mrgp_for_deterministic_nets(self):
         net = build_rejuvenation_net(PerceptionParameters.six_version_defaults())
@@ -92,7 +92,7 @@ class TestSolverRouteAgreement:
         net = build_rejuvenation_net(PerceptionParameters.six_version_defaults())
         with cache_override(enabled=False):
             with pytest.raises(UnsupportedModelError, match="deterministic"):
-                solve_steady_state(net, method="ctmc")
+                solve_steady_state(net, method="sparse")
 
     def test_forced_mrgp_result_is_cached_separately(self, tmp_path):
         """method= is part of the cache key: no cross-route aliasing."""
@@ -100,8 +100,8 @@ class TestSolverRouteAgreement:
             PerceptionParameters.four_version_defaults()
         )
         with cache_override(enabled=True, directory=tmp_path) as cache:
-            first = solve_steady_state(net, method="ctmc")
+            first = solve_steady_state(net, method="sparse")
             second = solve_steady_state(net, method="mrgp")
-            assert first.method == "ctmc"
+            assert first.method == "sparse"
             assert second.method == "mrgp"
             assert cache.stats()["misses"] == 2

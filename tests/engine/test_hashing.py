@@ -153,9 +153,9 @@ class TestCacheKeys:
         )
         keys = {
             reward_cache_key(net_fingerprint(net), reliability_fp=fp, max_states=100, method=method)
-            for method in ("auto", "ctmc", "mrgp", "sparse")
+            for method in ("auto", "mrgp", "sparse")
         }
-        assert len(keys) == 4
+        assert len(keys) == 3
 
     def test_reward_and_solver_keys_never_alias(self):
         net = _cycle_net()

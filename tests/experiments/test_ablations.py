@@ -25,7 +25,7 @@ class TestBuilderKnobs:
 
     def test_exponential_clock_is_ctmc(self, six_version_parameters):
         net = build_rejuvenation_net(six_version_parameters, clock="exponential")
-        assert solve_steady_state(net).method == "ctmc"
+        assert solve_steady_state(net).method == "sparse"
 
     def test_oracle_selects_compromised_when_available(self, six_version_parameters):
         net = build_rejuvenation_net(six_version_parameters, selection="oracle")

@@ -78,7 +78,7 @@ class TestStateProbabilityStructure:
 class TestMethodDispatch:
     def test_four_version_is_ctmc(self):
         system = PerceptionSystem(PerceptionParameters.four_version_defaults())
-        assert system.analyze().solution.method == "ctmc"
+        assert system.analyze().solution.method == "sparse"
 
     def test_six_version_is_mrgp(self):
         system = PerceptionSystem(PerceptionParameters.six_version_defaults())

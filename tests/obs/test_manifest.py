@@ -60,11 +60,8 @@ class TestCollectManifest:
             "platform",
             "cache_policy",
             "clock",
-            "solver_routing",
             "detectors",
         }
-        assert data["solver_routing"]["sparse_state_threshold"] > 0
-        assert "decisions" in data["solver_routing"]
         assert data["detectors"] == []
 
     def test_detector_certificates_travel_in_the_manifest(self):

@@ -88,7 +88,7 @@ class TestCertificatesAcceptCorrectSolutions:
             result = solve_steady_state(net)
         certificate = certify_steady_state(result)
         assert certificate.passed, certificate.render()
-        assert certificate.method == "ctmc"
+        assert certificate.method == "sparse"
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)

@@ -20,7 +20,7 @@ from repro.serve.client import request
 from tests.serve.conftest import running_service
 from tests.serve.test_app import fast_config
 
-#: The dense/sparse differential harness's agreement bar.
+#: The sparse/MRGP differential harness's agreement bar.
 AGREEMENT = 1e-9
 
 NO_REJUVENATION = {"versions": 5, "f": 1, "mttc": 900.0}
@@ -53,32 +53,36 @@ def _solve_all(specs):
 
 class TestMethodIsHonoured:
     def test_exponential_spec_agrees_across_routes(self):
-        methods = ("auto", "ctmc", "mrgp", "sparse")
+        methods = ("auto", "mrgp", "sparse")
         answers = _solve_all([{**NO_REJUVENATION, "method": m} for m in methods])
         values = {}
         for method, (response, solve) in zip(methods, answers):
             assert response.status == 200, response.json()
             assert solve["requested"] == method
-            expected_route = "ctmc" if method == "auto" else method
+            expected_route = "sparse" if method == "auto" else method
             assert solve["method"] == expected_route
             values[method] = response.json()["result"]["expected_reliability"]
-        for method in ("ctmc", "mrgp", "sparse"):
+        for method in ("mrgp", "sparse"):
             assert values[method] == pytest.approx(values["auto"], abs=AGREEMENT)
 
     def test_each_route_has_its_own_result_cache_entry(self):
         answers = _solve_all(
-            [{**NO_REJUVENATION, "method": m} for m in ("ctmc", "sparse")]
+            [{**NO_REJUVENATION, "method": m} for m in ("sparse", "mrgp")]
         )
         first, second = (response.json() for response, _ in answers)
         assert first["cache"] == "miss"
         assert second["cache"] == "miss"
         assert first["result"]["cache_key"] != second["result"]["cache_key"]
 
-    @pytest.mark.parametrize("method", ["ctmc", "sparse"])
-    def test_ctmc_class_route_refuses_deterministic_spec(self, method):
-        [(response, _)] = _solve_all([{**REJUVENATION, "method": method}])
+    def test_ctmc_class_route_refuses_deterministic_spec(self):
+        [(response, _)] = _solve_all([{**REJUVENATION, "method": "sparse"}])
         assert response.status == 422
         assert "UnsupportedModelError" in response.json()["error"]
+
+    def test_removed_dense_method_is_a_bad_request(self):
+        [(response, _)] = _solve_all([{**NO_REJUVENATION, "method": "ctmc"}])
+        assert response.status == 400
+        assert "valid methods: auto, mrgp, sparse" in response.json()["error"]
 
     def test_mrgp_route_matches_in_process_evaluation(self):
         [(response, solve)] = _solve_all([{**REJUVENATION, "method": "mrgp"}])

@@ -33,12 +33,12 @@ class TestResolveSpec:
                 "rejuvenation": True,
                 "mttc": 1234.5,
                 "max_states": 50_000,
-                "method": "ctmc",
+                "method": "mrgp",
             }
         )
         assert parameters.n_modules == 9
         assert parameters.mttc == 1234.5
-        assert (max_states, method) == (50_000, "ctmc")
+        assert (max_states, method) == (50_000, "mrgp")
 
     def test_rejects_unknown_key(self):
         with pytest.raises(SpecError, match="unknown spec key 'mtcc'"):

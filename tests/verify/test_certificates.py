@@ -11,6 +11,7 @@ from repro.petri import NetBuilder
 from repro.verify import (
     CERTIFICATE_VERSION,
     Certificate,
+    CertificateCheck,
     certify_expected_reward,
     certify_steady_state,
 )
@@ -39,6 +40,7 @@ def corrupt(result, pi):
         pi=np.asarray(pi, dtype=float),
         method=result.method,
         graph=result.graph,
+        solver_info=result.solver_info,
     )
 
 
@@ -49,12 +51,13 @@ class TestPassingCertificates:
         certificate = result.certificate
         assert certificate is not None
         assert certificate.passed
-        assert certificate.method == "ctmc"
+        assert certificate.method == "sparse"
         assert certificate.max_residual < 1e-9
         assert {check.name for check in certificate.checks} == {
             "pi-nonnegative",
             "pi-normalized",
-            "ctmc-balance",
+            "sparse-balance",
+            "sparse-solver-record",
         }
 
     def test_mrgp_certificate_passes(self):
@@ -91,7 +94,7 @@ class TestPassingCertificates:
         payload = result.certificate.to_dict()
         assert payload["passed"] is True
         assert payload["version"] == CERTIFICATE_VERSION
-        assert len(payload["checks"]) == 3
+        assert len(payload["checks"]) == 4
 
 
 class TestCorruptedPi:
@@ -117,7 +120,7 @@ class TestCorruptedPi:
         pi = result.pi.copy()
         pi[0], pi[-1] = pi[-1], pi[0]  # permuted mass: normalized but wrong
         certificate = certify_steady_state(corrupt(result, pi))
-        assert "ctmc-balance" in {c.name for c in certificate.failures()}
+        assert "sparse-balance" in {c.name for c in certificate.failures()}
 
     def test_mrgp_corruption_fails(self):
         with cache_override(enabled=False):
@@ -146,7 +149,7 @@ class TestCorruptedPi:
         assert not certificate.is_current("other")
         stale = Certificate(
             fingerprint="abc",
-            method="ctmc",
+            method="sparse",
             n_states=1,
             tolerance=1e-9,
             checks=(),
@@ -198,6 +201,40 @@ class TestCacheRefusal:
             assert served.certificate.passed
             np.testing.assert_allclose(served.pi, good.pi)
             # the refused entry was replaced by the verified recomputation
+            assert cache.get(key) is served
+
+    def test_dense_route_entry_with_version_2_certificate_is_refused(self):
+        # an entry written by the removed dense route: method "ctmc", no
+        # solver record, and a passing version-2 "ctmc-balance" certificate
+        net = cycle_net("certify-dense-legacy")
+        fingerprint = net_fingerprint(net)
+        with cache_override(enabled=True, directory=None):
+            good = solve_steady_state(net)
+            legacy = SteadyStateResult(
+                markings=good.markings,
+                pi=good.pi,
+                method="ctmc",
+                graph=good.graph,
+            )
+            legacy.certificate = Certificate(
+                fingerprint=fingerprint,
+                method="ctmc",
+                n_states=len(good.pi),
+                tolerance=1e-9,
+                checks=(CertificateCheck("ctmc-balance", True, 0.0, 1e-9),),
+                version=2,
+            )
+            assert not legacy.certificate.is_current(fingerprint)
+            cache = active_cache()
+            key = solver_cache_key(net, max_states=200_000, method="auto")
+            cache.put(key, legacy)
+
+            served = solve_steady_state(net, verify=True)
+            assert served is not legacy
+            assert served.method == "sparse"
+            assert served.certificate.passed
+            assert served.certificate.version == CERTIFICATE_VERSION
+            np.testing.assert_allclose(served.pi, good.pi)
             assert cache.get(key) is served
 
     def test_uncertified_entry_is_certified_in_place(self):
