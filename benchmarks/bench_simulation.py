@@ -1,9 +1,8 @@
 """Substrate benchmarks: discrete-event simulation throughput.
 
 Tracks the generic DSPN simulator (events/s over the six-version
-rejuvenation net), the domain-level perception runtime (requests/s
-including per-request voting), and the vectorized batch runtime
-(requests/s across thousands of independent replica groups).
+rejuvenation net) and the perception simulator, the vectorized batch
+runtime (requests/s across thousands of independent replica groups).
 """
 
 from repro.dspn import simulate
@@ -12,7 +11,7 @@ from repro.obs.regress import sim_batch_config
 from repro.perception.parameters import PerceptionParameters
 from repro.perception.rejuvenation import build_rejuvenation_net
 from repro.perception.statemap import module_counts
-from repro.simulation import PerceptionRuntime, simulate_batch
+from repro.simulation import simulate_batch
 
 
 def bench_dspn_simulator(benchmark):
@@ -30,17 +29,6 @@ def bench_dspn_simulator(benchmark):
 
     estimate = benchmark.pedantic(run, rounds=1, iterations=1)
     assert 0.0 < estimate.mean <= 6.0
-
-
-def bench_perception_runtime(benchmark):
-    parameters = PerceptionParameters.six_version_defaults()
-
-    def run():
-        runtime = PerceptionRuntime(parameters, request_period=1.0, seed=0)
-        return runtime.run(20000.0)
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert report.requests > 19000
 
 
 def bench_batch_runtime(benchmark):

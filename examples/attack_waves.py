@@ -1,8 +1,9 @@
 """Rejuvenation under bursty attack campaigns (threat-model extension).
 
 The paper's models assume attacks arrive at a constant rate λc.  Real
-adversaries attack in waves.  This example drives the executable runtime
-under three threat profiles with the *same average* attack intensity:
+adversaries attack in waves.  This example drives the perception
+simulator (a fleet of replica groups sharing one attack timeline) under
+three threat profiles with the *same average* attack intensity:
 
 1. constant pressure (the paper's assumption),
 2. moderate waves (3 x base rate, half the time),
@@ -22,18 +23,28 @@ Run:  python examples/attack_waves.py
 """
 
 from repro import PerceptionParameters
-from repro.simulation import AttackCampaign, PerceptionRuntime
+from repro.simulation import (
+    AttackCampaign,
+    BatchConfig,
+    error_bursts,
+    round_grid,
+    simulate_batch,
+)
 
-HORIZON = 400_000.0
+GROUPS = 40
+HORIZON = 10_000.0  # measured seconds per group: five attack periods
+WARMUP = 2_000.0
+PERIOD = 1.0
 BASE_MTTC = 1523.0
 
 
 def profiles() -> dict[str, AttackCampaign | None]:
+    span = WARMUP + HORIZON
     moderate = AttackCampaign.periodic(
-        period=2000.0, burst_duration=1000.0, intensity=3.0, horizon=HORIZON * 1.1
+        period=2000.0, burst_duration=1000.0, intensity=3.0, horizon=span
     )
     sharp = AttackCampaign.periodic(
-        period=2000.0, burst_duration=200.0, intensity=11.0, horizon=HORIZON * 1.1
+        period=2000.0, burst_duration=200.0, intensity=11.0, horizon=span
     )
     return {
         "constant pressure": None,
@@ -50,39 +61,48 @@ def effective_mttc(campaign: AttackCampaign | None) -> float:
 
 
 def run(parameters: PerceptionParameters, campaign: AttackCampaign | None, seed: int):
-    runtime = PerceptionRuntime(
-        parameters.replace(mttc=effective_mttc(campaign)),
-        request_period=1.0,
-        seed=seed,
-        campaign=campaign,
+    """``(report, longest error burst)`` of one fleet run."""
+    rounds, warmup_rounds = round_grid(HORIZON, WARMUP, PERIOD)
+    report = simulate_batch(
+        BatchConfig(
+            parameters=parameters.replace(mttc=effective_mttc(campaign)),
+            groups=GROUPS,
+            rounds=rounds,
+            warmup_rounds=warmup_rounds,
+            request_period=PERIOD,
+            seed=seed,
+            campaign=campaign,
+            record_outcomes=True,
+        )
     )
-    return runtime.run(HORIZON, warmup=2000.0)
+    bursts = error_bursts(report.outcomes[warmup_rounds:])
+    return report, max(bursts, default=0)
 
 
 def main() -> None:
     four = PerceptionParameters.four_version_defaults()
     six = PerceptionParameters.six_version_defaults()
 
-    print(f"{'threat profile':28s} {'system':12s} {'E[R] (safe-skip)':>17s} "
+    print(f"{'threat profile':28s} {'system':16s} {'E[R] (safe-skip)':>17s} "
           f"{'longest error burst':>20s}")
     for name, campaign in profiles().items():
         if campaign is not None:
-            mean = campaign.average_multiplier(HORIZON)
+            mean = campaign.average_multiplier(WARMUP + HORIZON)
             assert abs(mean - 2.0) < 0.05, "profiles must share average intensity"
         for label, parameters in (("4v baseline", four), ("6v rejuvenating", six)):
-            report = run(parameters, campaign, seed=17)
+            report, longest = run(parameters, campaign, seed=17)
             print(
-                f"{name:28s} {label:12s} {report.reliability_safe_skip:>17.4f} "
-                f"{report.longest_error_burst:>20d}"
+                f"{name:28s} {label:16s} {report.reliability_safe_skip:>17.4f} "
+                f"{longest:>20d}"
             )
     print()
     print(
-        "Reading: at equal average intensity, attack burstiness moves both\n"
-        "metrics by at most a few tenths of a percent — a compromise outlives\n"
-        "the wave that caused it (mean ~3000 s in the compromised state), so\n"
-        "only the average pressure matters. This validates the paper's\n"
-        "constant-rate threat model, and rejuvenation helps under every\n"
-        "profile (~0.73 -> ~0.91 here)."
+        "Reading: at equal average intensity, attack burstiness moves E[R]\n"
+        "by under two points and the longest burst by about one frame — a\n"
+        "compromise outlives the wave that caused it (mean ~3000 s in the\n"
+        "compromised state), so only the average pressure matters. This\n"
+        "validates the paper's constant-rate threat model, and rejuvenation\n"
+        "helps under every profile (~0.77 -> ~0.92 here)."
     )
 
 

@@ -395,13 +395,17 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 def _command_simulate_batch(args: argparse.Namespace) -> int:
     from repro.perception.evaluation import evaluate
-    from repro.simulation import BatchConfig, BatchMonitorConfig, simulate_batch
+    from repro.simulation import (
+        BatchConfig,
+        BatchMonitorConfig,
+        round_grid,
+        simulate_batch,
+    )
     from repro.verify.oracles import wilson_interval
 
     parameters = _parameters_from(args)
     period = args.request_period
-    rounds = max(1, round(args.horizon / period))
-    warmup_rounds = min(rounds - 1, max(0, round(args.warmup / period)))
+    rounds, warmup_rounds = round_grid(args.horizon, args.warmup, period)
     watch_enabled = bool(args.watch or args.alerts)
     config = BatchConfig(
         parameters=parameters,
@@ -610,8 +614,7 @@ def _command_monitor(args: argparse.Namespace) -> int:
     )
     for run in runs:
         print()
-        print(f"-- {run.scenario} / {run.policy} "
-              f"(seed {'unseeded' if run.report.seed is None else run.report.seed})")
+        print(f"-- {run.scenario} / {run.policy} (seed {run.report.seed})")
         print(run.summary.render())
     return 0
 
@@ -904,14 +907,17 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="Monte-Carlo cross-check of the analytic result"
     )
     _add_parameter_arguments(simulate)
-    simulate.add_argument("--horizon", type=float, default=100000.0)
+    simulate.add_argument(
+        "--horizon", type=float, default=100000.0,
+        help="measured seconds after --warmup",
+    )
     simulate.add_argument("--warmup", type=float, default=1000.0)
     simulate.add_argument("--replications", type=int, default=8)
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument(
         "--batch", action="store_true",
         help="use the vectorized batch runtime (thousands of groups on a "
-        "round grid) instead of the event loop",
+        "round grid) instead of the DSPN Monte-Carlo",
     )
     simulate.add_argument(
         "--groups", type=int, default=4096,
@@ -1014,7 +1020,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated policy names (default: all of "
         "periodic,threshold,targeted)",
     )
-    monitor.add_argument("--horizon", type=float, default=20000.0)
+    monitor.add_argument(
+        "--horizon", type=float, default=20000.0,
+        help="measured seconds after --warmup",
+    )
     monitor.add_argument("--warmup", type=float, default=0.0)
     monitor.add_argument(
         "--request-period", type=float, default=1.0,

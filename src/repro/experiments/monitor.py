@@ -21,7 +21,11 @@ and false-trigger rate (fraction of rejuvenations spent on healthy
 modules), and the monitor's detection latency.  The periodic baseline
 is run with the monitor attached in passive mode, so its numbers are
 measured by the identical instrumentation — and its trajectory is
-bit-identical to an unmonitored run (see the determinism tests).
+identical to an unmonitored run (see the determinism tests).
+
+Each (scenario, policy) pair is one :func:`~repro.simulation.batch.simulate_batch`
+call on a single replica group: the same seed schedule, fault channels
+and attack campaign for every policy.
 """
 
 from __future__ import annotations
@@ -31,12 +35,16 @@ from dataclasses import dataclass
 
 from repro.engine import SweepPlan
 from repro.experiments.report import ExperimentReport
-from repro.monitor.controller import MonitorController
 from repro.monitor.metrics import MonitorSummary
 from repro.monitor.policies import POLICY_NAMES, make_policy
 from repro.perception.parameters import PerceptionParameters
+from repro.simulation.batch.runtime import (
+    BatchConfig,
+    BatchReport,
+    round_grid,
+    simulate_batch,
+)
 from repro.simulation.campaigns import AttackCampaign
-from repro.simulation.runtime import PerceptionRuntime, RuntimeReport
 
 #: Default burst pattern of the attack scenario: one 1000 s burst of
 #: 8x compromise pressure every 5000 s.
@@ -51,7 +59,7 @@ class PolicyRun:
 
     policy: str
     scenario: str
-    report: RuntimeReport
+    report: BatchReport
     summary: MonitorSummary
 
     @property
@@ -66,34 +74,39 @@ def run_policy(
     duration: float,
     warmup: float = 0.0,
     request_period: float = 1.0,
-    seed: int | None = 2023,
+    seed: int = 2023,
     campaign: AttackCampaign | None = None,
     threshold_bound: float = 0.9,
     detection_threshold: float = 0.5,
     scenario: str = "steady",
 ) -> PolicyRun:
-    """Run one policy under monitoring and collect its metrics."""
-    controller = MonitorController(
-        parameters,
-        make_policy(
-            policy_name,
-            bound=threshold_bound,
-            detection_threshold=detection_threshold,
-        ),
+    """Run one policy under monitoring and collect its metrics.
+
+    ``duration`` seconds are measured after ``warmup`` seconds; both
+    must be whole numbers of ``request_period``.
+    """
+    rounds, warmup_rounds = round_grid(duration, warmup, request_period)
+    report = simulate_batch(
+        BatchConfig(
+            parameters=parameters,
+            groups=1,
+            rounds=rounds,
+            warmup_rounds=warmup_rounds,
+            request_period=request_period,
+            seed=seed,
+            campaign=campaign,
+            monitor=make_policy(
+                policy_name,
+                bound=threshold_bound,
+                detection_threshold=detection_threshold,
+            ),
+        )
     )
-    runtime = PerceptionRuntime(
-        parameters,
-        request_period=request_period,
-        seed=seed,
-        campaign=campaign,
-        monitor=controller,
-    )
-    report = runtime.run(duration, warmup=warmup)
     return PolicyRun(
         policy=policy_name,
         scenario=scenario,
         report=report,
-        summary=controller.summary(),
+        summary=report.monitor.summary(),
     )
 
 
@@ -111,7 +124,7 @@ def compare_policies(
     duration: float = 20000.0,
     warmup: float = 0.0,
     request_period: float = 1.0,
-    seed: int | None = 2023,
+    seed: int = 2023,
     attack: bool = True,
     threshold_bound: float = 0.9,
     detection_threshold: float = 0.5,

@@ -19,19 +19,20 @@ compromised apart" (Fig. 2c).  This package closes the loop, once, over
 * :mod:`~repro.monitor.core` — :class:`HealthMonitor`, the loop itself,
   driven by the batch runtime for thousands of replica groups at once;
 * :mod:`~repro.monitor.controller` — :class:`MonitorController`, its
-  one-group adapter for the event loop of
-  :class:`~repro.simulation.runtime.PerceptionRuntime`, which adds the
-  per-module events and a rolling reliability window.
+  one-group scalar adapter (the reference interpreter's and
+  ``/monitor``'s), which adds the per-module events and a rolling
+  reliability window.
 
 Quickstart::
 
-    from repro.monitor import MonitorConfig, MonitorController
-    from repro.simulation import PerceptionRuntime
+    from repro.monitor import MonitorConfig
+    from repro.simulation import BatchConfig, simulate_batch
 
-    monitor = MonitorController(params, MonitorConfig(mode="threshold", bound=0.9))
-    runtime = PerceptionRuntime(params, seed=7, monitor=monitor)
-    report = runtime.run(86400.0)
-    print(monitor.summary().render())
+    report = simulate_batch(BatchConfig(
+        parameters=params, groups=1, rounds=86400, request_period=1.0,
+        seed=7, monitor=MonitorConfig(mode="threshold", bound=0.9),
+    ))
+    print(report.monitor.summary().render())
 """
 
 from repro.monitor.controller import MonitorController

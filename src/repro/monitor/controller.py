@@ -1,15 +1,17 @@
-"""The event-loop adapter around a one-group :class:`HealthMonitor`.
+"""The scalar adapter around a one-group :class:`HealthMonitor`.
 
-:class:`MonitorController` is what
-:class:`~repro.simulation.runtime.PerceptionRuntime`'s observer hooks
-talk to.  It translates between the event loop's vocabulary and the
-array core (:class:`~repro.monitor.core.HealthMonitor` at groups=1):
+:class:`MonitorController` is what scalar callers talk to: the batch
+runtime's reference interpreter
+(:func:`~repro.simulation.batch.simulate_reference`, one controller per
+group) and the serve ``/monitor`` view.  It translates between a
+per-round, per-module vocabulary and the array core
+(:class:`~repro.monitor.core.HealthMonitor` at groups=1):
 
 * per vote round, the raw outputs and the voter's tally become the
   participation and deviation masks (:func:`~repro.monitor.signals.round_signal`)
   — availability is inferred purely from who produced an output, so
   the monitor is deployable as-is;
-* per clock tick (the DSPN's Trc firings), the runtime's availability
+* per clock tick (the DSPN's Trc firings), the caller's availability
   list becomes the operational mask;
 * the core's rejuvenation mask comes back as module ids;
 * ground-truth transitions arrive per module and go to the core's
@@ -21,11 +23,9 @@ per-module ``monitor.flag`` / ``monitor.unflag`` /
 the last :data:`ROLLING_WINDOW` rounds.
 
 With the passive ``observe`` mode the controller is a pure observer:
-the runtime keeps its built-in rejuvenator, consumes the identical RNG
-stream, and the trajectory is bit-identical to an unmonitored run — the
-baseline and the adaptive policies are therefore directly comparable
-under one seed.  Ground-truth transitions feed the ledger only;
-decisions never see them.
+the caller keeps its built-in rejuvenation clock and the trajectory is
+identical to an unmonitored run.  Ground-truth transitions feed the
+ledger only; decisions never see them.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.monitor.policies import MonitorConfig
 from repro.monitor.signals import round_signal
 from repro.obs.events import emit as emit_event
 from repro.perception.parameters import PerceptionParameters
-from repro.simulation.faults import FaultSemantics
 from repro.simulation.voter import VoteOutcome, VoteTally
 
 #: Rounds covered by the rolling empirical reliability.
@@ -54,7 +53,7 @@ class MonitorController:
     Parameters
     ----------
     parameters:
-        The system configuration (must match the runtime's).
+        The system configuration (must match the simulated system's).
     config:
         The monitoring options; the default observes passively.
     """
@@ -75,21 +74,17 @@ class MonitorController:
 
     @property
     def drives_clock(self) -> bool:
-        """Whether the controller replaces the runtime's rejuvenator."""
+        """Whether the controller replaces the built-in rejuvenation clock."""
         return self.config.drives_clock
 
-    def begin_run(self, semantics: FaultSemantics = FaultSemantics.CHANNEL) -> None:
-        """Reset all monitoring state (called by the runtime at t=0).
-
-        ``semantics`` is the runtime's fault-channel semantics; it sets
-        the filter's per-module compromise hazard.
-        """
-        self.core = HealthMonitor(self.parameters, self.config, semantics=semantics)
+    def begin_run(self) -> None:
+        """Reset all monitoring state to t=0."""
+        self.core = HealthMonitor(self.parameters, self.config)
         self._recent: deque[bool] = deque(maxlen=ROLLING_WINDOW)
         self._recent_errors = 0
 
     # ------------------------------------------------------------------
-    # observer hooks (called by PerceptionRuntime)
+    # observer hooks
     # ------------------------------------------------------------------
     def observe_round(
         self,
@@ -125,7 +120,7 @@ class MonitorController:
     ) -> list[int]:
         """A rejuvenation-clock tick: accrue budget, consult the policy.
 
-        ``operational`` is the runtime's current per-module availability
+        ``operational`` is the current per-module availability
         (which replicas are up is observable in deployment too); passing
         it keeps tick-time decisions fresh when faults occurred since
         the last vote round.

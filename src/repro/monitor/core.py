@@ -12,10 +12,10 @@ Clock ticks accrue budget and give the policy its periodic decision
 point.
 
 The batch runtime drives one instance per chunk of replica groups;
-:class:`~repro.monitor.controller.MonitorController` drives a
-one-group instance from the event loop.  Every operation is an array
-operation over all groups at once — there is no per-group or
-per-module Python loop.
+:class:`~repro.monitor.controller.MonitorController` wraps a one-group
+instance for scalar callers (the reference interpreter, ``/monitor``).
+Every operation is an array operation over all groups at once — there
+is no per-group or per-module Python loop.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.monitor.policies import MonitorConfig, select_rejuvenations
 from repro.obs import counter as obs_counter
 from repro.obs import histogram as obs_histogram
 from repro.perception.parameters import PerceptionParameters
-from repro.simulation.faults import FaultSemantics
 
 
 class HealthMonitor:
@@ -39,15 +38,13 @@ class HealthMonitor:
         parameters: PerceptionParameters,
         config: MonitorConfig,
         groups: int = 1,
-        *,
-        semantics: FaultSemantics = FaultSemantics.CHANNEL,
     ) -> None:
         self.config = config
         self.r = parameters.r
         self.budget_cap = (
             config.budget_cap if config.budget_cap is not None else parameters.r
         )
-        self.estimator = HealthEstimator(parameters, groups, semantics=semantics)
+        self.estimator = HealthEstimator(parameters, groups)
         self.metrics = MonitorMetrics(groups, parameters.n_modules)
         self.tokens = np.zeros(groups, dtype=np.int64)
         #: The last round's (new flags, cleared flags) masks, or None

@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.perception.parameters import PerceptionParameters
-from repro.simulation.faults import FaultSemantics
 
 
 def healthy_deviation_probability(parameters: PerceptionParameters) -> float:
@@ -77,19 +76,15 @@ def deviation_likelihoods(parameters: PerceptionParameters) -> tuple[float, floa
     return healthy, compromised
 
 
-def per_module_compromise_rate(
-    parameters: PerceptionParameters,
-    semantics: FaultSemantics = FaultSemantics.CHANNEL,
-) -> float:
+def per_module_compromise_rate(parameters: PerceptionParameters) -> float:
     """The hazard of one module becoming compromised.
 
-    Under ``CHANNEL`` semantics (the calibrated single-server reading)
-    the pool shares one compromise channel of rate λc that picks a
-    victim uniformly, so each module sees ≈ λc/N; under ``PER_MODULE``
-    every module carries its own λc clock.
+    The pool shares one compromise channel of rate λc (the calibrated
+    single-server reading) that picks a victim uniformly, so each module
+    sees ≈ λc/N.  A per-module λc clock is the infinite-server net
+    (``build_rejuvenation_net(..., server=ServerSemantics.INFINITE)``),
+    answered exactly on the analytic side.
     """
-    if semantics is FaultSemantics.PER_MODULE:
-        return parameters.lambda_c
     return parameters.lambda_c / parameters.n_modules
 
 
@@ -107,13 +102,11 @@ class HealthEstimator:
         self,
         parameters: PerceptionParameters,
         groups: int = 1,
-        *,
-        semantics: FaultSemantics = FaultSemantics.CHANNEL,
     ) -> None:
         self.p_deviate_healthy, self.p_deviate_compromised = deviation_likelihoods(
             parameters
         )
-        self.compromise_rate = per_module_compromise_rate(parameters, semantics)
+        self.compromise_rate = per_module_compromise_rate(parameters)
         self.failure_rate = parameters.lambda_f
         shape = (groups, parameters.n_modules)
         self.posterior = np.zeros(shape)

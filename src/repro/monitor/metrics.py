@@ -20,7 +20,7 @@ Three families of measurements come out:
   of rejuvenations wasted on healthy modules (the paper's blind policy
   pays exactly this price);
 * **reliability** — the cumulative empirical output reliability,
-  directly comparable to the analytic E[R_sys] (the event-loop adapter
+  directly comparable to the analytic E[R_sys] (the scalar adapter
   adds a rolling window over its last 1000 rounds).
 
 Every measurement is mirrored onto the global :mod:`repro.obs` metrics

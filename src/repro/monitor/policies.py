@@ -3,9 +3,9 @@
 Three policies span the open-loop-to-closed-loop spectrum:
 
 * ``periodic`` (mode ``observe``) — the paper's baseline.  It is
-  *passive*: the runtime keeps its own rejuvenation clock
-  (:class:`~repro.simulation.rejuvenator.Rejuvenator`), selections stay
-  uniformly random, and the monitor only observes.  With the same seed
+  *passive*: the simulator keeps its own rejuvenation clock (phase C
+  of :mod:`repro.simulation.batch.runtime`), selections stay uniformly
+  random, and the monitor only observes.  With the same seed
   the trajectory is bit-identical to an unmonitored run.
 * ``targeted`` — same clock, informed selection: at every tick it
   rejuvenates the modules the estimator considers most suspect
@@ -20,7 +20,7 @@ comparison between policies is at **equal rejuvenation budgets**: an
 adaptive policy may redistribute *when* and *whom*, never *how much*.
 
 :class:`MonitorConfig` is the one validated option set, shared by the
-event-loop adapter and the batch runtime; :func:`select_rejuvenations`
+scalar adapter and the batch runtime; :func:`select_rejuvenations`
 is the one ranking/budget rule, over ``(groups, n_modules)`` arrays.
 """
 
@@ -72,7 +72,7 @@ class MonitorConfig:
 
     @property
     def drives_clock(self) -> bool:
-        """Whether the monitor replaces the runtime's rejuvenator."""
+        """Whether the monitor replaces the built-in rejuvenation clock."""
         return self.mode != "observe"
 
     @property

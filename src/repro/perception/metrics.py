@@ -13,7 +13,7 @@ exactly (for the clockless models, which are CTMCs):
   Trivedi linear system (no finite differences).
 
 For rejuvenating (clocked) systems these quantities are available by
-simulation through :class:`repro.simulation.PerceptionRuntime`.
+simulation through :func:`repro.simulation.simulate_batch`.
 """
 
 from __future__ import annotations

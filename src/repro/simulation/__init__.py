@@ -1,54 +1,50 @@
-"""Event-driven N-version perception runtime.
+"""The executable N-version perception system.
 
 The paper's models are analytic; its stated future work is to
 "experimentally analyze our proposed approach in perception and other
-systems".  This package provides that executable counterpart: a
-discrete-event runtime with
+systems".  This package is that executable counterpart:
 
-* :class:`~repro.simulation.modules.MLModule` — simulated ML module
-  instances with healthy/compromised/failed/rejuvenating states and the
-  paper's output-failure behaviour (dependent errors among healthy
-  modules, random errors when compromised);
-* :class:`~repro.simulation.faults.FaultInjector` — stochastic
-  compromise/failure/repair processes matching the DSPN's transitions
-  ``Tc``/``Tf``/``Tr`` (channel semantics = the calibrated single-server
-  reading, or per-module semantics for physical realism);
-* :class:`~repro.simulation.voter.Voter` — BFT-threshold voting over
-  module outputs with worst-case (analytic-model-faithful) or per-label
-  agreement;
-* :class:`~repro.simulation.rejuvenator.Rejuvenator` — the time-based
-  rejuvenation clock of Fig. 2(b);
-* :class:`~repro.simulation.runtime.PerceptionRuntime` — the composed
-  system, measuring *empirical* output reliability over a stream of
-  perception requests.
+* :func:`~repro.simulation.batch.simulate_batch` — the perception
+  simulator: replica groups of simulated ML modules on a round grid,
+  with the DSPN's Tc/Tf/Tr fault channels, the rejuvenation clock of
+  Fig. 2(b), BFT-threshold voting over real labels and the online
+  health monitor, vectorized over groups;
+* :func:`~repro.simulation.batch.simulate_reference` — the scalar
+  interpreter of the same semantics, the batch's bit-exact witness;
+* :class:`~repro.simulation.modules.MLModule` — the module state
+  machine (healthy/compromised/failed/rejuvenating) the reference
+  steps through;
+* :class:`~repro.simulation.voter.Voter` — the scalar voter with
+  worst-case (analytic-model-faithful) or per-label agreement;
+* :class:`~repro.simulation.campaigns.AttackCampaign` — time-varying
+  compromise pressure;
+* :mod:`~repro.simulation.trace` — the measured census against the
+  analytic π, and consecutive-error bursts.
 
-The integration tests drive this runtime with Table II parameters and
-check that the measured reliability agrees with the analytic E[R_sys].
+The integration tests drive the batch with Table II parameters and
+check that the measured reliability and census agree with the analytic
+E[R_sys] and π.
 """
 
 from repro.simulation.campaigns import AttackCampaign, AttackWave
-from repro.simulation.faults import FaultInjector, FaultSemantics
 from repro.simulation.modules import MLModule, ModuleState, module_census
-from repro.simulation.rejuvenator import Rejuvenator
-from repro.simulation.runtime import PerceptionRuntime, RuntimeReport
-from repro.simulation.trace import (
-    OccupancyComparison,
-    StateOccupancy,
-    compare_with_analytic,
-)
 from repro.simulation.voter import AgreementModel, VoteOutcome, Voter
 
-#: Batch-runtime names resolved lazily (PEP 562): the batch package
-#: pulls in the monitor layer, which itself imports this package's
-#: submodules — an eager import here would close that cycle.
+#: Names resolved lazily (PEP 562): the batch package pulls in the
+#: monitor layer, which itself imports this package's submodules — an
+#: eager import here would close that cycle.
 _BATCH_EXPORTS = frozenset(
     {
         "BatchConfig",
         "BatchMonitorConfig",
         "BatchReport",
+        "round_grid",
         "simulate_batch",
         "simulate_reference",
     }
+)
+_TRACE_EXPORTS = frozenset(
+    {"OccupancyComparison", "compare_with_analytic", "error_bursts"}
 )
 
 
@@ -57,6 +53,10 @@ def __getattr__(name: str):
         from repro.simulation import batch
 
         return getattr(batch, name)
+    if name in _TRACE_EXPORTS:
+        from repro.simulation import trace
+
+        return getattr(trace, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -67,19 +67,15 @@ __all__ = [
     "BatchConfig",
     "BatchMonitorConfig",
     "BatchReport",
-    "FaultInjector",
-    "FaultSemantics",
     "MLModule",
     "ModuleState",
     "OccupancyComparison",
-    "PerceptionRuntime",
-    "Rejuvenator",
-    "RuntimeReport",
-    "StateOccupancy",
     "VoteOutcome",
     "Voter",
     "compare_with_analytic",
+    "error_bursts",
     "module_census",
+    "round_grid",
     "simulate_batch",
     "simulate_reference",
 ]

@@ -10,10 +10,12 @@ time, *through the existing scalar components*:
 * module state transitions via
   :class:`~repro.simulation.modules.MLModule`'s guarded state machine,
 * vote tallying/classification via
-  :class:`~repro.simulation.voter.Voter` (the event-loop's voter),
+  :class:`~repro.simulation.voter.Voter` under the config's agreement
+  model,
+* the census via :func:`~repro.simulation.modules.module_census`,
 * monitoring via one
   :class:`~repro.monitor.controller.MonitorController` per group — the
-  event-loop adapter, driving a one-group health monitor.
+  scalar adapter around a one-group health monitor.
 
 Any divergence between :func:`simulate_reference` and
 :func:`simulate_batch` on the same :class:`BatchConfig` is therefore a
@@ -50,7 +52,7 @@ from repro.simulation.batch.schedule import (
     wrong_labels,
 )
 from repro.simulation.batch.voter import CODE_OF_OUTCOME
-from repro.simulation.modules import MLModule, ModuleState
+from repro.simulation.modules import MLModule, ModuleState, module_census
 from repro.simulation.voter import Voter
 
 _STATE_OF_CODE = {
@@ -83,7 +85,7 @@ class _ReferenceGroup:
             MLModule(module_id=m, state=_STATE_OF_CODE[int(initial[m])])
             for m in range(params.n_modules)
         ]
-        self.voter = Voter(params.voting_scheme)
+        self.voter = Voter(params.voting_scheme, agreement=config.agreement)
         self.completion_q = [0.0] * params.n_modules
         self.completion_by_batch = completion_probabilities(
             params, config.request_period
@@ -121,7 +123,9 @@ class _ReferenceGroup:
             )
 
     # -- the four phases ----------------------------------------------
-    def run_round(self, k: int, draws, gi: int) -> int:
+    def run_round(self, k: int, draws, gi: int, census: np.ndarray) -> int:
+        """Run round ``k``; count the census into ``census`` when the
+        round is measured."""
         config = self.config
         params = self.params
         now = (k + 1) * config.request_period
@@ -169,7 +173,7 @@ class _ReferenceGroup:
                     commands = self.controller.on_tick(now, operational)
                     started = []
                     for module_id in commands:
-                        # guard g2, re-checked live as the event loop does
+                        # guard g2, re-checked live before every start
                         if self._budget_used() >= params.r:
                             break
                         if not self.modules[module_id].is_operational:
@@ -208,6 +212,9 @@ class _ReferenceGroup:
                     self._assign_completions(started)
 
         # phase D: the perception request
+        if k >= config.warmup_rounds:
+            counts = module_census(self.modules)
+            census[counts.healthy, counts.compromised] += 1
         truth = int(draws.u_truth[gi] * config.n_labels)
         common = int(wrong_labels(truth, draws.u_common[gi], config.n_labels))
         healthy = [
@@ -274,6 +281,8 @@ def simulate_reference(config: BatchConfig) -> BatchReport:
     chunk_outcomes: "list[np.ndarray]" = []
     chunk_transitions: "list[dict[str, np.ndarray]]" = []
     chunk_monitors: "list[BatchMonitorReport]" = []
+    n = config.parameters.n_modules
+    census = np.zeros((n + 1, n + 1), dtype=np.int64)
     rejuvenation_list: "list[tuple[int, int, int]]" = []
     snapshots = []
     for chunk_index in range(config.chunk_count):
@@ -293,7 +302,7 @@ def simulate_reference(config: BatchConfig) -> BatchReport:
                 draws = schedule.round_draws(chunk_index, k, g)
                 for gi, group in enumerate(groups):
                     before = len(group.rejuvenations)
-                    outcomes[k, gi] = group.run_round(k, draws, gi)
+                    outcomes[k, gi] = group.run_round(k, draws, gi, census)
                     for module_id in group.rejuvenations[before:]:
                         rejuvenation_list.append(
                             (k, offset + gi, module_id)
@@ -350,6 +359,7 @@ def simulate_reference(config: BatchConfig) -> BatchReport:
         per_group_errors=per_group_errors.astype(np.int64),
         per_group_inconclusive=per_group_inconclusive.astype(np.int64),
         transitions=transitions,
+        census=census,
         outcomes=outcomes if config.record_outcomes else None,
         rejuvenations=(
             tuple(rejuvenation_list)

@@ -1,11 +1,11 @@
 """Numpy-vectorized batch perception runtime.
 
-Where :class:`~repro.simulation.runtime.PerceptionRuntime` walks one
-replica group through a continuous-time event queue,
-:func:`simulate_batch` advances *thousands of independent groups* on a
-fixed round grid with array operations — millions of simulated
-perception requests per second on one core, with the
-:mod:`repro.monitor` estimator consuming the stream online.
+:func:`simulate_batch` is the perception simulator: it advances one to
+*thousands of independent replica groups* on a fixed round grid with
+array operations — millions of simulated perception requests per
+second on one core, with the :mod:`repro.monitor` estimator consuming
+the stream online.  The continuous-time witness of the same system is
+:func:`repro.dspn.simulate` on the net.
 
 Semantics: time is discretized into rounds of ``request_period``
 seconds.  Round ``k`` covers ``(k·dt, (k+1)·dt]`` and executes four
@@ -16,16 +16,17 @@ A. **rejuvenation completions** — every rejuvenating module finishes
    within the step with the exponential step probability of its batch's
    mean (:func:`~repro.simulation.batch.schedule.completion_probabilities`);
 B. **fault channels** — Tc, Tf, Tr evaluated in order on the state the
-   previous channel left, one shared channel per kind (``CHANNEL``
-   semantics), victim uniform among eligible modules in id order;
+   previous channel left, one shared channel per kind (the net's
+   single-server semantics), victim uniform among eligible modules in
+   id order;
 C. **rejuvenation clock** — the built-in periodic clock (guard g1 at
    tick rounds, pending starts applied under guard g2 every round,
    victims by smallest selection key), or, when an active monitor mode
    drives the clock, budget accrual + policy commands at tick rounds;
-D. **the request** — the dependent error model of
-   ``PerceptionRuntime._module_outputs`` in array form, worst-case vote
-   classification, monitor observation, and (threshold mode) between-
-   tick policy firings.
+D. **the request** — the census count, the dependent error model
+   (healthy errors share one wrong label, compromised ones draw their
+   own), the vote classification of ``config.agreement``, monitor
+   observation, and (threshold mode) between-tick policy firings.
 
 The scalar reference interpreter
 (:mod:`repro.simulation.batch.reference`) executes these same phases
@@ -79,12 +80,12 @@ from repro.simulation.batch.voter import (
     OUTCOME_CORRECT,
     OUTCOME_ERROR,
     OUTCOME_INCONCLUSIVE,
+    classify_per_label,
     classify_worst_case,
     tally_rounds,
 )
 from repro.simulation.campaigns import AttackCampaign
-from repro.simulation.faults import FaultSemantics
-from repro.simulation.voter import check_vote_capacity
+from repro.simulation.voter import AgreementModel, check_vote_capacity
 
 #: Ground-truth transition kinds, in their per-round phase order.
 TRANSITION_KINDS = (
@@ -94,6 +95,42 @@ TRANSITION_KINDS = (
     "repair",
     "rejuvenation-start",
 )
+
+
+def round_grid(
+    horizon: float, warmup: float, request_period: float
+) -> "tuple[int, int]":
+    """``(rounds, warmup_rounds)`` for ``horizon`` measured seconds after
+    ``warmup`` seconds on a ``request_period`` grid.
+
+    Both spans must be whole numbers of periods: a rounded grid would
+    silently simulate a different run than the one asked for.
+    """
+    if not request_period > 0:
+        raise SimulationError(
+            f"request_period must be positive, got {request_period}"
+        )
+    if not horizon > 0:
+        raise SimulationError(f"horizon must be positive, got {horizon}")
+    if warmup < 0:
+        raise SimulationError(f"warmup must be non-negative, got {warmup}")
+    counts = []
+    for name, seconds in (("horizon", horizon), ("warmup", warmup)):
+        counts.append(_whole_periods(seconds, request_period))
+        if counts[-1] is None:
+            raise SimulationError(
+                f"{name} {seconds:g} s is not a whole number of request "
+                f"periods ({request_period:g} s)"
+            )
+    measured, warmup_rounds = counts
+    return measured + warmup_rounds, warmup_rounds
+
+
+def _whole_periods(seconds: float, period: float) -> "int | None":
+    """``seconds / period`` when it is a whole number, else ``None``."""
+    ratio = seconds / period
+    count = round(ratio)
+    return count if abs(ratio - count) <= 1e-9 * max(ratio, 1.0) else None
 
 
 @dataclass(frozen=True)
@@ -115,7 +152,9 @@ class BatchConfig:
     #: Groups per chunk — part of the schedule identity, NOT a tuning
     #: knob to vary per run: changing it changes the trajectory.
     chunk_size: int = 1024
-    fault_semantics: FaultSemantics = FaultSemantics.CHANNEL
+    #: How wrong outputs pool votes: ``WORST_CASE`` (the analytic
+    #: model's reading) or ``PER_LABEL`` (only identical labels pool).
+    agreement: AgreementModel = AgreementModel.WORST_CASE
     campaign: AttackCampaign | None = None
     monitor: BatchMonitorConfig | None = None
     #: Initial census distribution (``stationary_census_table``); all
@@ -156,24 +195,21 @@ class BatchConfig:
             )
         if self.seed < 0:
             raise SimulationError(f"seed must be non-negative, got {self.seed}")
-        if self.fault_semantics is not FaultSemantics.CHANNEL:
+        if not isinstance(self.agreement, AgreementModel):
             raise SimulationError(
-                "the batch runtime implements the calibrated CHANNEL fault "
-                f"semantics only, got {self.fault_semantics}; use "
-                "PerceptionRuntime for PER_MODULE studies"
+                f"agreement must be an AgreementModel, got {self.agreement!r}"
             )
         check_vote_capacity(
             self.parameters.n_modules, self.parameters.voting_scheme
         )
         if self.parameters.rejuvenation:
-            ratio = self.parameters.rejuvenation_interval / self.request_period
-            ticks = round(ratio)
-            if ticks < 1 or abs(ratio - ticks) > 1e-9 * max(ratio, 1.0):
+            interval = self.parameters.rejuvenation_interval
+            if not _whole_periods(interval, self.request_period):
                 raise SimulationError(
                     "the rejuvenation interval must be an integer multiple "
                     "of the request period so clock ticks land on the round "
-                    f"grid; interval={self.parameters.rejuvenation_interval} "
-                    f"/ request_period={self.request_period} = {ratio}"
+                    f"grid; interval={interval} / request_period="
+                    f"{self.request_period} = {interval / self.request_period}"
                 )
         if (
             self.monitor is not None
@@ -212,10 +248,10 @@ class BatchConfig:
 class BatchReport:
     """Aggregated result of one batch run.
 
-    Counts (``requests``/``correct``/``errors``/``inconclusive`` and the
-    per-group arrays) cover the measured window — rounds at and after
-    ``warmup_rounds``; the recorded ``outcomes`` matrix, the transition
-    counts, and the throughput cover every simulated round.
+    Counts (``requests``/``correct``/``errors``/``inconclusive``, the
+    per-group arrays and ``census``) cover the measured window — rounds
+    at and after ``warmup_rounds``; the recorded ``outcomes`` matrix, the
+    transition counts, and the throughput cover every simulated round.
     """
 
     groups: int
@@ -237,6 +273,9 @@ class BatchReport:
     per_group_inconclusive: np.ndarray
     #: Per-group ground-truth transition counts over all rounds.
     transitions: "dict[str, np.ndarray]"
+    #: ``census[h, c]``: group-rounds voted with ``h`` healthy and ``c``
+    #: compromised modules (int64, ``(N+1, N+1)``), the empirical π.
+    census: np.ndarray
     outcomes: "np.ndarray | None"
     rejuvenations: "tuple[tuple[int, int, int], ...] | None"
     monitor: "BatchMonitorReport | None"
@@ -267,6 +306,7 @@ class _ChunkResult:
     per_group_errors: np.ndarray
     per_group_inconclusive: np.ndarray
     transitions: "dict[str, np.ndarray]"
+    census: np.ndarray
     outcomes: "np.ndarray | None"
     rejuvenations: "list[tuple[int, int, int]]"
     monitor: "BatchMonitorReport | None"
@@ -285,7 +325,9 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
     g = config.chunk_groups(chunk_index)
     offset = chunk_index * config.chunk_size
     dt = config.request_period
-    threshold = params.voting_scheme.threshold
+    scheme = params.voting_scheme
+    threshold = scheme.threshold
+    per_label = config.agreement is AgreementModel.PER_LABEL
     rejuvenation = params.rejuvenation
     ticks_every = config.ticks_every if rejuvenation else 0
     r = params.r
@@ -296,6 +338,7 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
     )
     completion_q = np.zeros((g, n))
     completion_by_batch = completion_probabilities(params, dt)
+    steady_probabilities = channel_probabilities(params, dt)
     pending = np.zeros(g, dtype=np.int64)
     transitions = {
         kind: np.zeros(g, dtype=np.int64) for kind in TRANSITION_KINDS
@@ -303,6 +346,7 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
     measured_correct = np.zeros(g, dtype=np.int64)
     measured_errors = np.zeros(g, dtype=np.int64)
     measured_inconclusive = np.zeros(g, dtype=np.int64)
+    census_cells = np.zeros((n + 1) * (n + 1), dtype=np.int64)
     outcomes = (
         np.zeros((config.rounds, g), dtype=np.int8)
         if config.record_outcomes
@@ -330,7 +374,7 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
         state[start] = STATE_REJUVENATING
         transitions["rejuvenation-start"] += start.sum(axis=1)
         # completion mean = batch size *after* all of this moment's
-        # starts, matching the event loop's _schedule_completion
+        # starts (the DSPN's marking-dependent Trj)
         batch = (state == STATE_REJUVENATING).sum(axis=1)
         completion_q[start] = np.broadcast_to(
             completion_by_batch[batch][:, None], (g, n)
@@ -356,12 +400,13 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
                 monitor.record_transition(now, "rejuvenation-done", done)
 
         # phase B: fault channels (Tc, Tf, Tr in order)
-        multiplier = (
-            config.campaign.multiplier_at(k * dt)
+        probabilities = (
+            channel_probabilities(
+                params, dt, config.campaign.multiplier_at(k * dt)
+            )
             if config.campaign is not None
-            else 1.0
+            else steady_probabilities
         )
-        probabilities = channel_probabilities(params, dt, multiplier)
         sources = (STATE_HEALTHY, STATE_COMPROMISED, STATE_FAILED)
         targets = (STATE_COMPROMISED, STATE_FAILED, STATE_HEALTHY)
         for channel, kind in enumerate(CHANNEL_ORDER):
@@ -432,6 +477,12 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
         healthy = state == STATE_HEALTHY
         compromised = state == STATE_COMPROMISED
         n_healthy = healthy.sum(axis=1)
+        n_compromised = compromised.sum(axis=1)
+        if k >= config.warmup_rounds:
+            census_cells += np.bincount(
+                n_healthy * (n + 1) + n_compromised,
+                minlength=census_cells.size,
+            )
         error_event = (n_healthy > 0) & (draws.u_error < params.p)
         pick = (draws.u_leader * n_healthy).astype(np.int64)
         leader = (
@@ -447,22 +498,7 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
         )
         healthy_err = leader | dragged
         compromised_err = compromised & (draws.u_comp_err < params.p_prime)
-        votes = n_healthy + compromised.sum(axis=1)
-        wrong = healthy_err.sum(axis=1) + compromised_err.sum(axis=1)
-        outcome = classify_worst_case(votes, votes - wrong, threshold)
-        if outcomes is not None:
-            outcomes[k] = outcome
-        if round_errors is not None:
-            round_errors[k] = int((outcome == OUTCOME_ERROR).sum())
-            round_inconclusive[k] = int(
-                (outcome == OUTCOME_INCONCLUSIVE).sum()
-            )
-        if k >= config.warmup_rounds:
-            measured_correct += outcome == OUTCOME_CORRECT
-            measured_errors += outcome == OUTCOME_ERROR
-            measured_inconclusive += outcome == OUTCOME_INCONCLUSIVE
-
-        if monitor is not None:
+        if monitor is not None or per_label:
             truth = (draws.u_truth * config.n_labels).astype(np.int64)
             common = wrong_labels(truth, draws.u_common, config.n_labels)
             own_wrong = wrong_labels(
@@ -480,8 +516,27 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
                 labels,
             )
             tally = tally_rounds(
-                labels, truth, config.n_labels, params.voting_scheme
+                labels, truth, config.n_labels, scheme
             )
+        if per_label:
+            outcome = classify_per_label(tally, threshold)
+        else:
+            votes = n_healthy + n_compromised
+            wrong = healthy_err.sum(axis=1) + compromised_err.sum(axis=1)
+            outcome = classify_worst_case(votes, votes - wrong, threshold)
+        if outcomes is not None:
+            outcomes[k] = outcome
+        if round_errors is not None:
+            round_errors[k] = int((outcome == OUTCOME_ERROR).sum())
+            round_inconclusive[k] = int(
+                (outcome == OUTCOME_INCONCLUSIVE).sum()
+            )
+        if k >= config.warmup_rounds:
+            measured_correct += outcome == OUTCOME_CORRECT
+            measured_errors += outcome == OUTCOME_ERROR
+            measured_inconclusive += outcome == OUTCOME_INCONCLUSIVE
+
+        if monitor is not None:
             participated = labels >= 0
             deviated = (
                 participated
@@ -508,6 +563,7 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
         per_group_errors=measured_errors,
         per_group_inconclusive=measured_inconclusive,
         transitions=transitions,
+        census=census_cells.reshape(n + 1, n + 1),
         outcomes=outcomes,
         rejuvenations=rejuvenations,
         monitor=monitor.report() if monitor is not None else None,
@@ -587,6 +643,8 @@ def simulate_batch(config: BatchConfig, *, jobs: int = 1) -> BatchReport:
         kind: np.concatenate([r.transitions[kind] for r in results])
         for kind in TRANSITION_KINDS
     }
+    # int64 counts summed in chunk order: jobs-invariant
+    census = np.sum([r.census for r in results], axis=0)
     outcomes = (
         np.concatenate([r.outcomes for r in results], axis=1)
         if config.record_outcomes
@@ -627,6 +685,7 @@ def simulate_batch(config: BatchConfig, *, jobs: int = 1) -> BatchReport:
         per_group_errors=per_group_errors,
         per_group_inconclusive=per_group_inconclusive,
         transitions=transitions,
+        census=census,
         outcomes=outcomes,
         rejuvenations=(
             tuple(rejuvenation_list) if config.record_rejuvenations else None

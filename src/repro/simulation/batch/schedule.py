@@ -3,7 +3,7 @@
 The equivalence proof between the vectorized batch runtime
 (:mod:`repro.simulation.batch.runtime`) and its scalar reference
 interpreter (:mod:`repro.simulation.batch.reference`) rests on both
-consuming *the same randomness in the same declared order*.  The
+consuming *the same randomness in the same declared order*.  A
 continuous-time event loop draws from one sequential RNG stream whose
 consumption order depends on the trajectory itself, which makes a
 vectorized twin impossible to match draw-for-draw; the batch semantics
@@ -152,9 +152,8 @@ def completion_probabilities(
     """Per-round completion probability, indexed by rejuvenation batch size.
 
     Entry ``b`` is the chance that a module rejuvenating in a batch of
-    ``b`` (exponential mean ``b * time_per_module``, matching
-    :meth:`repro.simulation.rejuvenator.Rejuvenator.completion_delay`)
-    finishes within one ``dt`` step.  Entry 0 is a placeholder (a batch
+    ``b`` (exponential mean ``b * time_per_module``, the DSPN's
+    marking-dependent Trj) finishes within one ``dt`` step.  Entry 0 is a placeholder (a batch
     is never empty).
     """
     per_module = parameters.rejuvenation_time_per_module
@@ -204,8 +203,8 @@ def sample_initial_states(
 ) -> np.ndarray:
     """Per-group initial module states from census-table inversion.
 
-    Without a table every module starts ``HEALTHY`` (the event-loop
-    runtime's deployment state).  With one, each group's census is drawn
+    Without a table every module starts ``HEALTHY`` (the deployment
+    state).  With one, each group's census is drawn
     by inverting the table's CDF at the group's uniform, and modules are
     laid out healthy-first, then compromised, then ``FAILED`` for the
     unavailable remainder (the census does not distinguish failed from

@@ -6,7 +6,8 @@ produced no output, and the result carries the same per-group quantities
 ``Voter.tally`` derives for a single round — votes cast, votes for the
 ground truth, the plurality winner (ties broken towards the smaller
 label, matching the scalar tie-break exactly since ``argmax`` returns
-the first maximum), and the winner's margin over the runner-up.
+the first maximum), the winner's vote count and its margin over the
+runner-up.
 
 Outcome classification uses the same integer codes throughout the batch
 package so ``(rounds, groups)`` outcome arrays stay ``int8``.
@@ -49,6 +50,8 @@ class BatchTally:
     votes: np.ndarray
     correct: np.ndarray
     winner: np.ndarray
+    #: Votes for the winner (0 where no votes were cast).
+    top: np.ndarray
     margin: np.ndarray
 
 
@@ -78,6 +81,7 @@ def tally_rounds(
         votes=votes,
         correct=correct,
         winner=np.where(votes > 0, winner, NO_OUTPUT),
+        top=top,
         margin=np.where(votes > 0, top - runner_up, 0),
     )
 
@@ -93,8 +97,26 @@ def classify_worst_case(
     labels — the array form of ``Voter.classify`` under
     ``AgreementModel.WORST_CASE``.
     """
-    incorrect = votes - correct
-    outcome = np.full(votes.shape, OUTCOME_INCONCLUSIVE, dtype=np.int8)
+    return _classify(correct, votes - correct, threshold)
+
+
+def classify_per_label(tally: BatchTally, threshold: int) -> np.ndarray:
+    """Per-label outcome codes: only identical wrong labels pool votes.
+
+    The array form of ``Voter.classify`` under
+    ``AgreementModel.PER_LABEL``.  A round below the correct threshold
+    is an error when its plurality winner reaches the threshold; such a
+    winner outvotes the ground truth, so it is necessarily wrong.
+    """
+    return _classify(tally.correct, tally.top, threshold)
+
+
+def _classify(
+    correct: np.ndarray, wrong: np.ndarray, threshold: int
+) -> np.ndarray:
+    """Outcome codes from the correct votes and the strongest wrong
+    answer's votes."""
+    outcome = np.full(correct.shape, OUTCOME_INCONCLUSIVE, dtype=np.int8)
     outcome[correct >= threshold] = OUTCOME_CORRECT
-    outcome[(correct < threshold) & (incorrect >= threshold)] = OUTCOME_ERROR
+    outcome[(correct < threshold) & (wrong >= threshold)] = OUTCOME_ERROR
     return outcome

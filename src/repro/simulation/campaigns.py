@@ -7,10 +7,10 @@ piecewise-constant modulation of λc: during each :class:`AttackWave`
 the compromise rate is multiplied by the wave's intensity (overlapping
 waves multiply).
 
-The runtime samples fault events exactly under this modulation: rates
-are memoryless within a wave, and the event sampler re-draws at every
-wave boundary (see ``PerceptionRuntime._schedule_fault``), which is the
-standard exact treatment of piecewise-constant hazard rates.
+The batch simulator fires the compromise channel of round ``k`` with
+the step probability at ``multiplier_at(k * request_period)``: exact
+for wave boundaries on the round grid, at most one period late
+otherwise.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ A module is in one of four states (§III):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.validation import check_non_negative_int
 
@@ -47,15 +47,10 @@ def module_census(modules: "list[MLModule]"):
 
 @dataclass
 class MLModule:
-    """One ML module version in the runtime.
-
-    The module tracks its own state history so post-hoc analyses can
-    measure per-state dwell times.
-    """
+    """One ML module version, stepped by the reference interpreter."""
 
     module_id: int
     state: ModuleState = ModuleState.HEALTHY
-    transitions: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         check_non_negative_int("module_id", self.module_id)
@@ -84,7 +79,6 @@ class MLModule:
                 f"module {self.module_id} cannot rejuvenate from {self.state.value}"
             )
         self.state = ModuleState.REJUVENATING
-        self.transitions += 1
 
     def finish_rejuvenation(self) -> None:
         """Rejuvenation completes (R -> H)."""
@@ -97,4 +91,3 @@ class MLModule:
                 f"{expected.value} for transition to {target.value}"
             )
         self.state = target
-        self.transitions += 1

@@ -136,9 +136,11 @@ class Voter:
     ) -> VoteTally:
         """Count the round's votes per label and compute the margin.
 
-        Shared by :meth:`decide` and the monitoring layer's disagreement
-        signals; the tally itself is agreement-model independent (the
-        model only matters when *classifying* a tally).
+        ``outputs`` holds one entry per module: the predicted label, or
+        ``None`` for a module that produced no output.  Shared by
+        :meth:`classify` and the monitoring layer's disagreement signals;
+        the tally itself is agreement-model independent (the model only
+        matters when *classifying* a tally).
         """
         check_vote_capacity(len(outputs), self.scheme)
         counts = Counter(label for label in outputs if label is not None)
@@ -181,20 +183,3 @@ class Voter:
         if wrong_counts and max(wrong_counts) >= threshold:
             return VoteOutcome.ERROR
         return VoteOutcome.INCONCLUSIVE
-
-    def decide(
-        self,
-        outputs: Sequence[Optional[int]],
-        ground_truth: int,
-    ) -> VoteOutcome:
-        """Classify a request.
-
-        Parameters
-        ----------
-        outputs:
-            One entry per module: the predicted label, or ``None`` for a
-            module that produced no output (failed/rejuvenating).
-        ground_truth:
-            The true label.
-        """
-        return self.classify(self.tally(outputs, ground_truth))

@@ -1,8 +1,9 @@
-"""Cross-validation: analytic solvers vs Monte-Carlo vs the NVP runtime.
+"""Cross-validation: analytic solvers vs Monte-Carlo vs the NVP simulator.
 
 Three independent implementations of the same stochastic system must
 agree: the analytic CTMC/MRGP pipeline, the generic DSPN discrete-event
-simulator, and the domain-level perception runtime.
+simulator, and the domain-level perception simulator (the batch runtime,
+itself witnessed bit for bit by its scalar reference interpreter).
 """
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from repro.nversion.reliability import GeneralizedReliability
 from repro.perception import PerceptionParameters, PerceptionSystem
 from repro.perception.evaluation import evaluate
-from repro.simulation import PerceptionRuntime
+from repro.obs.metrics import registry_override
+from repro.simulation import BatchConfig, simulate_batch
 
 
 class TestDSPNSimulatorAgreement:
@@ -51,10 +53,24 @@ class TestDSPNSimulatorAgreement:
         )
 
 
+def measured_reliability(parameters, seed):
+    """Safe-skip E[R] of a batch started in its stationary census."""
+    config = BatchConfig(
+        parameters=parameters,
+        groups=2048,
+        rounds=600,
+        warmup_rounds=100,
+        request_period=2.0,
+        seed=seed,
+    ).with_stationary_init()
+    with registry_override():
+        return simulate_batch(config).reliability_safe_skip
+
+
 class TestRuntimeAgreement:
-    """The event-driven NVP runtime measures per-request outcomes; its
-    empirical reliability must match the analytic model built on the
-    *same* failure model (the normalized dependent model)."""
+    """The NVP simulator measures per-request outcomes; its empirical
+    reliability must match the analytic model built on the *same*
+    failure model (the normalized dependent model)."""
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_four_version(self, four_version_parameters, seed):
@@ -68,11 +84,8 @@ class TestRuntimeAgreement:
         analytic = evaluate(
             four_version_parameters, reliability=general
         ).expected_reliability
-        runtime = PerceptionRuntime(
-            four_version_parameters, request_period=2.0, seed=seed
-        )
-        report = runtime.run(300000.0, warmup=3000.0)
-        assert abs(report.reliability_safe_skip - analytic) < 0.03
+        measured = measured_reliability(four_version_parameters, seed)
+        assert abs(measured - analytic) < 0.03
 
     def test_six_version(self, six_version_parameters):
         general = GeneralizedReliability(
@@ -85,11 +98,8 @@ class TestRuntimeAgreement:
         analytic = evaluate(
             six_version_parameters, reliability=general
         ).expected_reliability
-        runtime = PerceptionRuntime(
-            six_version_parameters, request_period=2.0, seed=33
-        )
-        report = runtime.run(300000.0, warmup=3000.0)
-        assert abs(report.reliability_safe_skip - analytic) < 0.03
+        measured = measured_reliability(six_version_parameters, 33)
+        assert abs(measured - analytic) < 0.03
 
 
 class TestEndToEndParameterDerivation:

@@ -3,27 +3,31 @@
 The monitoring subsystem is only trustworthy if its internals agree
 with the analytic pipeline they are derived from.  Two cross-checks:
 
-* **occupancy** — the long-run (i, j, k) census of a monitored run must
-  match the DSPN steady-state π (and attaching a passive monitor must
-  not shift it);
+* **occupancy** — the census a monitored batch votes in must match the
+  DSPN steady-state π (and attaching a passive monitor must not shift
+  it);
 * **priors** — the Bayesian filter's hazard rates must be exactly the
-  rates of the DSPN's Tc/Tf transitions under single-server (CHANNEL)
-  semantics, and its healthy-deviation likelihood must be the marginal
-  per-module error probability of the dependent error model.
+  rates of the DSPN's Tc/Tf transitions under single-server semantics,
+  and its healthy-deviation likelihood must be the marginal per-module
+  error probability of the dependent error model.
 """
 
+from math import comb
+
+import numpy as np
 import pytest
 
 from repro.monitor import (
     HealthEstimator,
-    MonitorController,
+    MonitorConfig,
     healthy_deviation_probability,
     per_module_compromise_rate,
 )
+from repro.obs.metrics import registry_override
 from repro.perception.parameters import PerceptionParameters
 from repro.perception.rejuvenation import build_rejuvenation_net
-from repro.simulation.faults import FaultSemantics
-from repro.simulation.runtime import PerceptionRuntime
+from repro.petri.transition import ServerSemantics
+from repro.simulation import BatchConfig, simulate_batch
 from repro.simulation.trace import compare_with_analytic
 
 
@@ -32,18 +36,27 @@ def parameters():
     return PerceptionParameters.six_version_defaults()
 
 
+def occupancy_run(parameters, monitor):
+    # requests only sample outputs; the census dynamics are driven by
+    # the fault/rejuvenation channels, so a sparse 25 s request grid
+    # (24 requests per clock interval) keeps this long horizon cheap
+    config = BatchConfig(
+        parameters=parameters,
+        groups=256,
+        rounds=2000,
+        warmup_rounds=200,
+        request_period=25.0,
+        seed=2023,
+        monitor=monitor,
+    )
+    with registry_override():
+        return simulate_batch(config)
+
+
 @pytest.fixture(scope="module")
 def monitored_occupancy(parameters):
     """One long monitored run, shared across the occupancy tests."""
-    monitor = MonitorController(parameters)
-    runtime = PerceptionRuntime(
-        parameters, request_period=25.0, seed=2023, monitor=monitor
-    )
-    # requests only sample outputs; the census dynamics are driven by
-    # the fault/rejuvenation events, so a sparse request stream keeps
-    # this long horizon cheap
-    report = runtime.run(400000.0, warmup=5000.0, collect_occupancy=True)
-    return report.occupancy
+    return occupancy_run(parameters, MonitorConfig()).census
 
 
 class TestOccupancyAgainstSteadyState:
@@ -70,16 +83,14 @@ class TestOccupancyAgainstSteadyState:
     def test_passive_monitor_does_not_shift_occupancy(
         self, parameters, monitored_occupancy
     ):
-        bare = PerceptionRuntime(
-            parameters, request_period=25.0, seed=2023
-        ).run(400000.0, warmup=5000.0, collect_occupancy=True)
-        assert bare.occupancy.dwell == monitored_occupancy.dwell
+        bare = occupancy_run(parameters, None)
+        np.testing.assert_array_equal(bare.census, monitored_occupancy)
 
 
 class TestEstimatorPriorConsistency:
     def test_hazards_are_the_dspn_transition_rates(self, parameters):
-        """CHANNEL semantics = single-server firing: the filter's
-        per-module hazards must equal the net's Tc/Tf rates."""
+        """Single-server firing: the filter's per-module hazards must
+        equal the net's Tc/Tf rates."""
         net = build_rejuvenation_net(parameters)
         marking = net.initial_marking
         tc = net.transitions["Tc"].rate(marking)
@@ -91,29 +102,60 @@ class TestEstimatorPriorConsistency:
         assert estimator.failure_rate == pytest.approx(tf)
 
     def test_per_module_semantics_matches_net_rate(self, parameters):
-        assert per_module_compromise_rate(
-            parameters, FaultSemantics.PER_MODULE
-        ) == pytest.approx(parameters.lambda_c)
+        """A per-module λc clock is the infinite-server net: its Tc
+        fires at N·λc from the all-healthy marking, N times the
+        filter's share of the one shared channel."""
+        net = build_rejuvenation_net(parameters, server=ServerSemantics.INFINITE)
+        transition = net.transitions["Tc"]
+        marking = net.initial_marking()
+        tc = transition.rate_in(
+            marking, net.enabling_degree(transition, marking)
+        )
+        n = parameters.n_modules
+        assert tc == pytest.approx(n * parameters.lambda_c)
+        assert per_module_compromise_rate(parameters) == pytest.approx(tc / n**2)
 
     def test_healthy_likelihood_is_marginal_error_probability(self, parameters):
         """P(deviate | healthy) = p·(1/N + (1−1/N)·α): the chance of
         being the error leader plus the chance of being dragged along —
-        the dependent model's per-module marginal.  Check it against a
-        direct Monte-Carlo of the runtime's output sampler."""
-        import numpy as np
+        the dependent model's per-module marginal.
 
-        runtime = PerceptionRuntime(parameters, request_period=1.0, seed=11)
-        rng = np.random.default_rng(11)
-        runtime.rng = rng
-        deviations = 0
-        rounds = 40000
-        for _ in range(rounds):
-            outputs = runtime._module_outputs(0)
-            deviations += sum(output != 0 for output in outputs)
-        observed = deviations / (rounds * parameters.n_modules)
-        assert observed == pytest.approx(
-            healthy_deviation_probability(parameters), rel=0.05
+        The batch's deviation counts measure deviation from the
+        plurality *winner*, not from the truth: when the leader drags a
+        majority along, the correct modules are the deviators.  So the
+        check enumerates the E = 1 + Binomial(N−1, α) erring modules of
+        an error event: E[E]/N·p must be the filter's likelihood, and
+        E[min(E, N−E)]/N·p must be what an all-healthy batch measures.
+        """
+        healthy = parameters.replace(mttc=1e12, rejuvenation=False)
+        n = healthy.n_modules
+        alpha = healthy.alpha
+        weights = {
+            e: comb(n - 1, e - 1) * alpha ** (e - 1) * (1 - alpha) ** (n - e)
+            for e in range(1, n + 1)
+        }
+        error_marginal = healthy.p * sum(w * e for e, w in weights.items()) / n
+        deviation_marginal = (
+            healthy.p * sum(w * min(e, n - e) for e, w in weights.items()) / n
         )
+        assert healthy_deviation_probability(healthy) == pytest.approx(
+            error_marginal, rel=1e-12
+        )
+
+        config = BatchConfig(
+            parameters=healthy,
+            groups=1024,
+            rounds=40,
+            request_period=1.0,
+            seed=11,
+            monitor=MonitorConfig(),
+            record_round_totals=True,
+        )
+        with registry_override():
+            report = simulate_batch(config)
+        assert report.round_participants.sum() == 1024 * 40 * n
+        observed = report.round_deviations.sum() / report.round_participants.sum()
+        assert observed == pytest.approx(deviation_marginal, rel=0.05)
 
     def test_steady_state_belief_bounded_by_pi(self, parameters):
         """With no evidence, the filter's belief must stay within the

@@ -1,15 +1,13 @@
-"""Tests for the monitor controller (the event-loop adapter)."""
+"""Tests for the monitor controller (the one-group scalar adapter)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.monitor.controller import MonitorController
-from repro.monitor.estimator import per_module_compromise_rate
 from repro.monitor.policies import MonitorConfig
 from repro.nversion.voting import VotingScheme
 from repro.perception.parameters import PerceptionParameters
-from repro.simulation import FaultSemantics, PerceptionRuntime
 from repro.simulation.voter import Voter
 
 
@@ -144,22 +142,3 @@ class TestActiveControl:
         assert controller.core.estimator.posterior[0, n - 1] == 0.0
         assert controller.summary().rounds == 0
 
-
-class TestFaultSemantics:
-    def test_begin_run_takes_the_runtime_semantics(self, parameters):
-        controller = MonitorController(parameters)
-        runtime = PerceptionRuntime(
-            parameters,
-            request_period=1.0,
-            seed=3,
-            fault_semantics=FaultSemantics.PER_MODULE,
-            monitor=controller,
-        )
-        runtime.run(5.0)
-        assert controller.core.estimator.compromise_rate == (
-            per_module_compromise_rate(parameters, FaultSemantics.PER_MODULE)
-        )
-        controller.begin_run()
-        assert controller.core.estimator.compromise_rate == (
-            per_module_compromise_rate(parameters, FaultSemantics.CHANNEL)
-        )

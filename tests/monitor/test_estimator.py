@@ -8,10 +8,8 @@ from repro.monitor.estimator import (
     HealthEstimator,
     deviation_likelihoods,
     healthy_deviation_probability,
-    per_module_compromise_rate,
 )
 from repro.perception.parameters import PerceptionParameters
-from repro.simulation.faults import FaultSemantics
 
 
 @pytest.fixture
@@ -45,11 +43,6 @@ class TestPriorDynamics:
         assert estimator.compromise_rate == pytest.approx(
             parameters.lambda_c / parameters.n_modules
         )
-
-    def test_per_module_semantics_uses_full_rate(self, parameters):
-        assert per_module_compromise_rate(
-            parameters, FaultSemantics.PER_MODULE
-        ) == pytest.approx(parameters.lambda_c)
 
     def test_belief_drifts_towards_compromised_without_votes(self, parameters):
         estimator = HealthEstimator(parameters)

@@ -1,4 +1,4 @@
-"""The batch-vs-event-loop differential harness.
+"""The batch-vs-reference differential harness.
 
 :func:`repro.simulation.batch.simulate_batch` and
 :func:`repro.simulation.batch.simulate_reference` interpret the same
@@ -7,8 +7,9 @@ by element through the trusted scalar components (``MLModule``,
 ``Voter``, ``HealthEstimator``, ``MonitorController``).  Equivalence
 here is *exact*: identical per-round vote outcomes, identical
 per-group failure counts, identical rejuvenation firings (round, group,
-module), identical ground-truth transition tallies, and bitwise-equal
-monitor posteriors for every configuration family the runtime accepts.
+module), identical ground-truth transition tallies, identical census
+counts, and bitwise-equal monitor posteriors for every configuration
+family the runtime accepts, under both agreement models.
 
 Fixed Fig. 2 configurations pin the paper's two instances plus the
 monitor modes, attack campaigns, and stationary initialisation;
@@ -24,6 +25,7 @@ from repro.monitor.estimator import healthy_deviation_probability
 from repro.obs.metrics import registry_override
 from repro.perception.parameters import PerceptionParameters
 from repro.simulation import (
+    AgreementModel,
     AttackCampaign,
     BatchConfig,
     BatchMonitorConfig,
@@ -68,6 +70,8 @@ def assert_equivalent(config: BatchConfig, *, jobs: int = 1) -> None:
             batch.transitions[kind], reference.transitions[kind]
         )
     assert batch.rejuvenations == reference.rejuvenations
+    assert batch.census.dtype == reference.census.dtype == np.int64
+    np.testing.assert_array_equal(batch.census, reference.census)
     assert (batch.requests, batch.correct, batch.errors, batch.inconclusive) == (
         reference.requests,
         reference.correct,
@@ -202,6 +206,7 @@ class TestWorkerInvariance:
         with registry_override() as second_registry:
             second = simulate_batch(config, jobs=4)
         np.testing.assert_array_equal(first.outcomes, second.outcomes)
+        np.testing.assert_array_equal(first.census, second.census)
         assert first.rejuvenations == second.rejuvenations
         np.testing.assert_array_equal(
             first.monitor.posterior, second.monitor.posterior
@@ -271,6 +276,33 @@ class TestHypothesisFamilies:
             rounds=60,
             seed=data.draw(st.integers(min_value=0, max_value=2**16)),
             chunk_size=5,
+            monitor=(
+                BatchMonitorConfig(mode=monitor) if monitor is not None else None
+            ),
+        )
+        assert_equivalent(config)
+
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_random_family_agrees_per_label(self, data):
+        """Per-label voting: the batch classifies from the label tally
+        and the reference through ``Voter`` under the same agreement."""
+        parameters = _family_parameters(data.draw)
+        monitor = data.draw(st.sampled_from([None, "observe"]))
+        if (
+            monitor is not None
+            and parameters.p_prime
+            <= healthy_deviation_probability(parameters)
+        ):
+            monitor = None
+        config = _config(
+            parameters,
+            groups=12,
+            rounds=60,
+            seed=data.draw(st.integers(min_value=0, max_value=2**16)),
+            chunk_size=5,
+            n_labels=data.draw(st.integers(min_value=2, max_value=5)),
+            agreement=AgreementModel.PER_LABEL,
             monitor=(
                 BatchMonitorConfig(mode=monitor) if monitor is not None else None
             ),

@@ -14,7 +14,6 @@ from repro.simulation import (
     simulate_batch,
 )
 from repro.simulation.batch import SeedSchedule, stationary_census_table
-from repro.simulation.faults import FaultSemantics
 
 
 def _config(parameters, **overrides) -> BatchConfig:
@@ -42,10 +41,7 @@ class TestValidation:
             (dict(n_labels=1), "n_labels"),
             (dict(request_period=0.0), "request_period"),
             (dict(seed=-1), "seed"),
-            (
-                dict(fault_semantics=FaultSemantics.PER_MODULE),
-                "CHANNEL",
-            ),
+            (dict(agreement="per-label"), "agreement"),
         ],
     )
     def test_rejected_configs(self, four_version_parameters, overrides, match):

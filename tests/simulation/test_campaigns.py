@@ -4,8 +4,29 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
+from repro.obs.metrics import registry_override
 from repro.perception.parameters import PerceptionParameters
-from repro.simulation import AttackCampaign, AttackWave, PerceptionRuntime
+from repro.simulation import (
+    AttackCampaign,
+    AttackWave,
+    BatchConfig,
+    simulate_batch,
+)
+
+
+def run(params, *, seed, campaign=None, **options):
+    base = dict(
+        parameters=params,
+        groups=64,
+        rounds=2000,
+        warmup_rounds=200,
+        request_period=5.0,
+        seed=seed,
+        campaign=campaign,
+    )
+    base.update(options)
+    with registry_override():
+        return simulate_batch(BatchConfig(**base))
 
 
 class TestAttackWave:
@@ -72,48 +93,44 @@ class TestAttackCampaign:
 class TestRuntimeUnderCampaign:
     def test_intense_campaign_degrades_reliability(self):
         params = PerceptionParameters.four_version_defaults()
-        quiet = PerceptionRuntime(params, request_period=2.0, seed=5).run(
-            150000.0, warmup=1000.0
-        )
+        quiet = run(params, seed=5)
         campaign = AttackCampaign.periodic(
-            period=2000.0, burst_duration=1000.0, intensity=20.0, horizon=160000.0
+            period=2000.0, burst_duration=1000.0, intensity=20.0, horizon=10000.0
         )
-        attacked = PerceptionRuntime(
-            params, request_period=2.0, seed=5, campaign=campaign
-        ).run(150000.0, warmup=1000.0)
+        attacked = run(params, seed=5, campaign=campaign)
         assert attacked.reliability_safe_skip < quiet.reliability_safe_skip
+        assert (
+            attacked.transitions["compromise"].sum()
+            > quiet.transitions["compromise"].sum()
+        )
 
     def test_unit_intensity_campaign_is_neutral(self):
-        """A campaign multiplying by 1.0 must not change the statistics
-        beyond resampling noise."""
+        """A campaign multiplying by 1.0 fires the compromise channel with
+        the unmodulated probability, so the trajectory is unchanged."""
         params = PerceptionParameters.four_version_defaults()
         campaign = AttackCampaign(waves=(AttackWave(0.0, 1e9, 1.0),))
-        plain = PerceptionRuntime(params, request_period=2.0, seed=6).run(100000.0)
-        modulated = PerceptionRuntime(
-            params, request_period=2.0, seed=6, campaign=campaign
-        ).run(100000.0)
-        assert abs(
-            plain.reliability_safe_skip - modulated.reliability_safe_skip
-        ) < 0.03
+        plain = run(params, seed=6, record_outcomes=True)
+        modulated = run(params, seed=6, campaign=campaign, record_outcomes=True)
+        np.testing.assert_array_equal(plain.outcomes, modulated.outcomes)
+        np.testing.assert_array_equal(plain.census, modulated.census)
 
     def test_campaign_average_matches_constant_rate(self):
         """A bursty campaign and a constant rate with the same mean λc
         give comparable (not identical) long-run error rates."""
         params = PerceptionParameters.four_version_defaults()
-        horizon = 200000.0
+        options = dict(rounds=4000, request_period=10.0)
+        horizon = 4000 * 10.0
         campaign = AttackCampaign.periodic(
             period=1000.0, burst_duration=500.0, intensity=3.0,
-            horizon=horizon * 1.1,
+            horizon=horizon,
         )
         mean_multiplier = campaign.average_multiplier(horizon)
-        constant = PerceptionRuntime(
+        constant = run(
             params.replace(mttc=params.mttc / mean_multiplier),
-            request_period=10.0,
             seed=7,
-        ).run(horizon, warmup=1000.0)
-        bursty = PerceptionRuntime(
-            params, request_period=10.0, seed=7, campaign=campaign
-        ).run(horizon, warmup=1000.0)
+            **options,
+        )
+        bursty = run(params, seed=7, campaign=campaign, **options)
         assert abs(
             constant.reliability_safe_skip - bursty.reliability_safe_skip
         ) < 0.06

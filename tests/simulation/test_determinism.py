@@ -8,19 +8,21 @@ lock down three layers:
 * **replay** — the same seed replays byte-identically, with and without
   an attack campaign;
 * **passivity** — attaching a passive monitor must not perturb the
-  event or RNG streams (the ISSUE's trace-identity acceptance
-  criterion);
-* **provenance** — the seed is recorded on the report, the occupancy
-  trace and the rendered occupancy comparison.
+  trajectory: outcomes, error bursts and the census are identical;
+* **provenance** — the seed is recorded on the report and carried into
+  the rendered census comparison.
 """
 
+import numpy as np
 import pytest
 
-from repro.monitor import MonitorController
+from repro.monitor import MonitorConfig
+from repro.obs.metrics import registry_override
 from repro.perception.parameters import PerceptionParameters
+from repro.perception.statemap import ModuleCounts
+from repro.simulation import BatchConfig, error_bursts, simulate_batch
 from repro.simulation.campaigns import AttackCampaign
-from repro.simulation.runtime import PerceptionRuntime
-from repro.simulation.trace import StateOccupancy, compare_with_analytic
+from repro.simulation.trace import compare_with_analytic
 
 
 def run_once(
@@ -29,19 +31,20 @@ def run_once(
     seed=42,
     monitored=False,
     campaign=None,
-    duration=8000.0,
+    rounds=2000,
 ):
-    monitor = (
-        MonitorController(parameters) if monitored else None
-    )
-    runtime = PerceptionRuntime(
-        parameters,
-        request_period=1.0,
+    config = BatchConfig(
+        parameters=parameters,
+        groups=4,
+        rounds=rounds,
+        request_period=2.0,
         seed=seed,
         campaign=campaign,
-        monitor=monitor,
+        monitor=MonitorConfig() if monitored else None,
+        record_outcomes=True,
     )
-    return runtime.run(duration, collect_occupancy=True)
+    with registry_override():
+        return simulate_batch(config)
 
 
 def trace_of(report):
@@ -51,8 +54,9 @@ def trace_of(report):
         report.correct,
         report.errors,
         report.inconclusive,
-        report.error_bursts,
-        report.occupancy.dwell,
+        error_bursts(report.outcomes),
+        report.outcomes.tobytes(),
+        report.census.tobytes(),
     )
 
 
@@ -83,12 +87,13 @@ class TestReplay:
 
 class TestPassiveMonitorIdentity:
     def test_monitored_run_reproduces_bare_trajectory(self, parameters):
-        """ISSUE acceptance criterion: with monitoring attached, the
-        periodic policy reproduces the existing rejuvenator's
-        trajectory exactly — same seed, identical traces."""
+        """With the passive monitor attached, the periodic clock keeps
+        its trajectory exactly — same seed, identical traces, and the
+        observe census equals the unmonitored census."""
         bare = run_once(parameters, seed=42, monitored=False)
         monitored = run_once(parameters, seed=42, monitored=True)
         assert trace_of(bare) == trace_of(monitored)
+        np.testing.assert_array_equal(bare.census, monitored.census)
 
     def test_identity_holds_under_attack(self, parameters):
         campaign = AttackCampaign.periodic(
@@ -103,25 +108,24 @@ class TestPassiveMonitorIdentity:
 
 class TestSeedProvenance:
     def test_report_and_occupancy_carry_seed(self, parameters):
-        report = run_once(parameters, seed=42, duration=200.0)
+        report = run_once(parameters, seed=42, rounds=100)
         assert report.seed == 42
-        assert report.occupancy.seed == 42
-
-    def test_unseeded_run_records_none(self, parameters):
-        report = run_once(parameters, seed=None, duration=200.0)
-        assert report.seed is None
-        assert report.occupancy.seed is None
+        comparison = compare_with_analytic(
+            report.census, parameters, seed=report.seed
+        )
+        assert comparison.seed == 42
 
     def test_comparison_renders_seed(self, parameters):
-        report = run_once(parameters, seed=42, duration=2000.0)
-        comparison = compare_with_analytic(report.occupancy, parameters)
-        assert comparison.seed == 42
+        report = run_once(parameters, seed=42, rounds=1000)
+        comparison = compare_with_analytic(
+            report.census, parameters, seed=report.seed
+        )
         assert "seed: 42" in comparison.render()
 
     def test_unseeded_comparison_says_so(self, parameters):
-        occupancy = StateOccupancy()
-        from repro.perception.statemap import ModuleCounts
-
-        occupancy.record(ModuleCounts(6, 0, 0), 100.0)
-        comparison = compare_with_analytic(occupancy, parameters)
+        census = np.zeros((7, 7), dtype=np.int64)
+        census[6, 0] = 100
+        comparison = compare_with_analytic(census, parameters)
+        assert comparison.seed is None
         assert "seed: unseeded" in comparison.render()
+        assert ModuleCounts(6, 0, 0) in [row[0] for row in comparison.rows]

@@ -17,7 +17,6 @@ class TestLifecycle:
         assert module.state is ModuleState.FAILED
         module.repair()
         assert module.state is ModuleState.HEALTHY
-        assert module.transitions == 3
 
     def test_rejuvenation_from_healthy(self):
         module = MLModule(0)

@@ -5,12 +5,23 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.nversion.voting import VotingScheme
-from repro.simulation.batch.voter import NO_OUTPUT, tally_rounds
+from repro.simulation.batch.voter import (
+    CODE_OF_OUTCOME,
+    NO_OUTPUT,
+    classify_per_label,
+    classify_worst_case,
+    tally_rounds,
+)
 from repro.simulation.voter import AgreementModel, VoteOutcome, Voter
 
 
 def bft_voter(agreement=AgreementModel.WORST_CASE):
     return Voter(VotingScheme.bft(1), agreement=agreement)  # threshold 3 of 4
+
+
+def decide(voter, outputs, ground_truth):
+    """Classify one request: the voter's classify() of its tally()."""
+    return voter.classify(voter.tally(outputs, ground_truth))
 
 
 class TestTally:
@@ -51,49 +62,61 @@ class TestTally:
         "agreement", [AgreementModel.WORST_CASE, AgreementModel.PER_LABEL]
     )
     def test_decide_equals_classify_of_tally(self, agreement):
-        """decide() is exactly classify(tally()) for both agreement models."""
+        """The batch's decision — array classification of tally_rounds —
+        is exactly the scalar classify(tally()) for both agreement
+        models."""
         voter = bft_voter(agreement)
         cases = [
             [7, 7, 7, 2],
             [1, 2, 3, 7],
             [2, 2, 2, 7],
+            [2, 2, 3, 3],
             [7, 7, None, None],
             [None, None, None, None],
         ]
-        for outputs in cases:
-            tally = voter.tally(outputs, 7)
-            assert voter.decide(outputs, 7) is voter.classify(tally)
+        labels = np.array(
+            [[NO_OUTPUT if o is None else o for o in outputs] for outputs in cases]
+        )
+        tally = tally_rounds(labels, np.full(len(cases), 7), 10, voter.scheme)
+        threshold = voter.scheme.threshold
+        if agreement is AgreementModel.PER_LABEL:
+            codes = classify_per_label(tally, threshold)
+        else:
+            codes = classify_worst_case(tally.votes, tally.correct, threshold)
+        assert codes.tolist() == [
+            CODE_OF_OUTCOME[decide(voter, outputs, 7)] for outputs in cases
+        ]
 
 
 class TestWorstCase:
     def test_correct(self):
         voter = bft_voter()
-        assert voter.decide([7, 7, 7, 2], ground_truth=7) is VoteOutcome.CORRECT
+        assert decide(voter, [7, 7, 7, 2], ground_truth=7) is VoteOutcome.CORRECT
 
     def test_error_pools_all_wrong_labels(self):
         voter = bft_voter()
         # three wrong outputs with different labels still count together
-        assert voter.decide([1, 2, 3, 7], ground_truth=7) is VoteOutcome.ERROR
+        assert decide(voter, [1, 2, 3, 7], ground_truth=7) is VoteOutcome.ERROR
 
     def test_inconclusive_on_split(self):
         voter = bft_voter()
-        assert voter.decide([7, 7, 1, 2], ground_truth=7) is VoteOutcome.INCONCLUSIVE
+        assert decide(voter, [7, 7, 1, 2], ground_truth=7) is VoteOutcome.INCONCLUSIVE
 
     def test_missing_outputs_reduce_votes(self):
         voter = bft_voter()
         assert (
-            voter.decide([7, 7, None, None], ground_truth=7)
+            decide(voter, [7, 7, None, None], ground_truth=7)
             is VoteOutcome.INCONCLUSIVE
         )
 
     def test_threshold_reached_with_missing(self):
         voter = bft_voter()
-        assert voter.decide([7, 7, 7, None], ground_truth=7) is VoteOutcome.CORRECT
+        assert decide(voter, [7, 7, 7, None], ground_truth=7) is VoteOutcome.CORRECT
 
     def test_all_missing_inconclusive(self):
         voter = bft_voter()
         assert (
-            voter.decide([None, None, None, None], ground_truth=7)
+            decide(voter, [None, None, None, None], ground_truth=7)
             is VoteOutcome.INCONCLUSIVE
         )
 
@@ -101,11 +124,11 @@ class TestWorstCase:
 class TestPerLabel:
     def test_disagreeing_wrong_outputs_inconclusive(self):
         voter = bft_voter(AgreementModel.PER_LABEL)
-        assert voter.decide([1, 2, 3, 7], ground_truth=7) is VoteOutcome.INCONCLUSIVE
+        assert decide(voter, [1, 2, 3, 7], ground_truth=7) is VoteOutcome.INCONCLUSIVE
 
     def test_agreeing_wrong_outputs_error(self):
         voter = bft_voter(AgreementModel.PER_LABEL)
-        assert voter.decide([2, 2, 2, 7], ground_truth=7) is VoteOutcome.ERROR
+        assert decide(voter, [2, 2, 2, 7], ground_truth=7) is VoteOutcome.ERROR
 
     def test_per_label_never_more_errors_than_worst_case(self):
         worst = bft_voter()
@@ -118,17 +141,17 @@ class TestPerLabel:
             [1, 1, None, 7],
         ]
         for outputs in cases:
-            if per_label.decide(outputs, 7) is VoteOutcome.ERROR:
-                assert worst.decide(outputs, 7) is VoteOutcome.ERROR
+            if decide(per_label, outputs, 7) is VoteOutcome.ERROR:
+                assert decide(worst, outputs, 7) is VoteOutcome.ERROR
 
 
 class TestRejuvenationScheme:
     def test_six_version_threshold_four(self):
         voter = Voter(VotingScheme.bft_with_rejuvenation(1, 1))
         outputs = [7, 7, 7, 7, 1, None]
-        assert voter.decide(outputs, ground_truth=7) is VoteOutcome.CORRECT
+        assert decide(voter, outputs, ground_truth=7) is VoteOutcome.CORRECT
         outputs = [7, 7, 7, 1, 1, None]
-        assert voter.decide(outputs, ground_truth=7) is VoteOutcome.INCONCLUSIVE
+        assert decide(voter, outputs, ground_truth=7) is VoteOutcome.INCONCLUSIVE
 
 
 class TestVoteCapacity:

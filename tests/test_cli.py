@@ -102,6 +102,40 @@ class TestSimulate:
         assert "analytic E[R]" in output
         assert "simulated E[R]" in output
 
+    def test_batch_horizon_is_measured_after_warmup(self, capsys):
+        assert main(
+            [
+                "simulate", "--batch", "--four", "--groups", "8",
+                "--horizon", "100", "--warmup", "50",
+                "--request-period", "0.5", "--seed", "3",
+            ]
+        ) == 0
+        output = capsys.readouterr().out
+        # 300 rounds: 100 warm-up rounds, then 200 measured per group
+        assert "8 groups x 300 rounds (1,600 measured requests" in output
+
+    @pytest.mark.parametrize(
+        "horizon,warmup,message",
+        [
+            ("-5", "0", "horizon must be positive"),
+            ("0", "0", "horizon must be positive"),
+            ("100", "-1", "warmup must be non-negative"),
+            ("100.25", "0", "horizon 100.25 s is not a whole number"),
+            ("100", "0.75", "warmup 0.75 s is not a whole number"),
+        ],
+    )
+    def test_batch_rejects_spans_off_the_grid(
+        self, capsys, horizon, warmup, message
+    ):
+        assert main(
+            [
+                "simulate", "--batch", "--four", "--groups", "8",
+                "--horizon", horizon, "--warmup", warmup,
+                "--request-period", "0.5",
+            ]
+        ) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestMetrics:
     def test_four_version_metrics(self, capsys):
@@ -144,6 +178,31 @@ class TestMonitor:
     def test_unknown_policy_exits(self):
         with pytest.raises(SystemExit, match="unknown policy"):
             main(["monitor", "--six", "--policy", "oracle"])
+
+    def test_negative_seed_is_an_error(self, capsys):
+        assert main(
+            ["monitor", "--six", "--horizon", "100", "--seed", "-1"]
+        ) == 2
+        assert "error: seed must be non-negative" in capsys.readouterr().err
+
+    def test_request_period_off_the_clock_grid_is_an_error(self, capsys):
+        assert main(
+            [
+                "monitor", "--six", "--horizon", "700",
+                "--request-period", "7",
+            ]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error: the rejuvenation interval must be an integer multiple" in err
+
+    def test_horizon_off_the_request_grid_is_an_error(self, capsys):
+        assert main(
+            [
+                "monitor", "--six", "--horizon", "1000.5",
+                "--request-period", "1",
+            ]
+        ) == 2
+        assert "is not a whole number" in capsys.readouterr().err
 
 
 class TestProvision:
