@@ -25,23 +25,48 @@ def generator_derivative(graph: TangibleGraph, transition: str) -> np.ndarray:
     :mod:`repro.markov.sensitivity` for exact reward sensitivities.
     """
     n = graph.n_states
-    derivative = np.zeros((n, n))
-    found = False
-    for source in range(n):
-        for edge in graph.exponential_edges[source]:
-            if edge.transition != transition:
-                continue
-            found = True
-            for target, probability in edge.targets:
-                if target == source:
-                    continue
-                derivative[source, target] += probability
-    if not found:
+    structure = graph.structure
+    chosen = np.fromiter(
+        (name == transition for name in structure.edge_transition),
+        dtype=bool,
+        count=len(structure.edge_transition),
+    )
+    chosen &= ~structure.edge_deterministic
+    if not chosen.any():
         raise UnsupportedModelError(
             f"transition {transition!r} contributes no exponential edge"
         )
+    pairs = chosen[structure.target_edge]
+    derivative = _scatter(
+        n,
+        structure.pair_source[pairs],
+        structure.target[pairs],
+        structure.probability[pairs],
+    )
     np.fill_diagonal(derivative, -derivative.sum(axis=1))
     return derivative
+
+
+def _scatter(
+    n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Dense ``(n, n)`` sums of ``values`` at ``(rows, cols)``, self-loops dropped."""
+    visible = rows != cols  # invisible self-loops do not affect the CTMC
+    return dense_sums((n, n), rows[visible], cols[visible], values[visible])
+
+
+def dense_sums(
+    shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Dense array of ``values`` summed at ``(rows, cols)``.
+
+    Each cell adds its values in input order, as a ``+=`` loop over the
+    entries would, so the sums are bit-identical to that loop's.
+    """
+    flat = np.bincount(
+        rows * shape[1] + cols, weights=values, minlength=shape[0] * shape[1]
+    )
+    return flat.astype(float, copy=False).reshape(shape)
 
 
 def build_ctmc(graph: TangibleGraph) -> CTMC:
@@ -62,12 +87,12 @@ def build_ctmc(graph: TangibleGraph) -> CTMC:
         )
     with span("dspn.ctmc_builder", states=graph.n_states):
         n = graph.n_states
-        generator = np.zeros((n, n))
-        for source in range(n):
-            for edge in graph.exponential_edges[source]:
-                for target, probability in edge.targets:
-                    if target == source:
-                        continue  # invisible self-loops do not affect the CTMC
-                    generator[source, target] += edge.rate * probability
+        structure = graph.structure
+        generator = _scatter(
+            n,
+            structure.pair_source,
+            structure.target,
+            graph.values[structure.target_edge] * structure.probability,
+        )
         np.fill_diagonal(generator, -generator.sum(axis=1))
         return CTMC(generator, states=list(range(n)))

@@ -34,10 +34,11 @@ from collections import defaultdict
 
 import numpy as np
 
+from repro.dspn.ctmc_builder import dense_sums
 from repro.errors import UnsupportedModelError
 from repro.markov.uniformization import expm_and_integral
 from repro.obs import span
-from repro.statespace.graph import DeterministicEdge, TangibleGraph
+from repro.statespace.graph import TangibleGraph
 
 _PROBABILITY_TOLERANCE = 1e-14
 
@@ -56,105 +57,124 @@ def build_mrgp_kernels(graph: TangibleGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def _build_kernels(graph: TangibleGraph) -> tuple[np.ndarray, np.ndarray, int]:
     """The untraced kernel construction behind :func:`build_mrgp_kernels`."""
+    structure = graph.structure
     n = graph.n_states
-    kernel = np.zeros((n, n))
-    sojourn = np.zeros((n, n))
-
-    det_edge_of = _deterministic_edge_per_state(graph)
+    values = graph.values
+    deterministic = structure.edge_deterministic
+    armed = _armed_states(graph)
 
     # --- markings without a deterministic transition -------------------
-    for state in range(n):
-        if det_edge_of[state] is not None:
-            continue
-        edges = graph.exponential_edges[state]
-        total_rate = sum(edge.rate for edge in edges)
-        if total_rate <= 0.0:
-            # absorbing tangible marking: model it as a unit-length
-            # self-cycle so the renewal theorem concentrates mass on it.
-            kernel[state, state] = 1.0
-            sojourn[state, state] = 1.0
-            continue
-        sojourn[state, state] = 1.0 / total_rate
-        for edge in edges:
-            for target, probability in edge.targets:
-                kernel[state, target] += (edge.rate / total_rate) * probability
+    # exit rates summed per source in edge order, as a per-edge loop would
+    exponential = ~deterministic
+    total = np.bincount(
+        structure.edge_source[exponential], weights=values[exponential], minlength=n
+    )
+    free = ~armed
+    # absorbing tangible marking: model it as a unit-length self-cycle so
+    # the renewal theorem concentrates mass on it.
+    absorbing = np.flatnonzero(free & (total <= 0.0))
+    live = np.flatnonzero(free & (total > 0.0))
+    sojourn = np.zeros((n, n))
+    sojourn[absorbing, absorbing] = 1.0
+    sojourn[live, live] = 1.0 / total[live]
+    sources = structure.pair_source
+    pairs = ~structure.pair_deterministic & free[sources]
+    rows = sources[pairs]
+    edges = structure.target_edge[pairs]
+    kernel = dense_sums(
+        (n, n),
+        rows,
+        structure.target[pairs],
+        (values[edges] / total[rows]) * structure.probability[pairs],
+    )
+    kernel[absorbing, absorbing] = 1.0
 
     # --- markings grouped by their deterministic transition -------------
+    timed = np.flatnonzero(deterministic)
     groups: dict[str, list[int]] = defaultdict(list)
-    for state, edge in enumerate(det_edge_of):
-        if edge is not None:
-            groups[edge.transition].append(state)
+    for edge in timed.tolist():
+        groups[structure.edge_transition[edge]].append(edge)
 
-    for transition_name, members in groups.items():
-        _fill_group(graph, det_edge_of, transition_name, members, kernel, sojourn)
+    for transition_name, group_edges in groups.items():
+        _fill_group(graph, transition_name, np.asarray(group_edges), kernel, sojourn)
 
     return kernel, sojourn, len(groups)
 
 
-def _deterministic_edge_per_state(
-    graph: TangibleGraph,
-) -> list[DeterministicEdge | None]:
-    """The unique deterministic edge of each state (or None)."""
-    result: list[DeterministicEdge | None] = []
-    for state in range(graph.n_states):
-        edges = graph.deterministic_edges[state]
-        names = {edge.transition for edge in edges}
-        if len(names) > 1:
-            raise UnsupportedModelError(
-                f"tangible marking {graph.markings[state].compact()} enables "
-                f"{len(names)} deterministic transitions ({sorted(names)}); "
-                "the MRGP solver supports at most one — use the simulator"
-            )
-        result.append(edges[0] if edges else None)
-    return result
+def _armed_states(graph: TangibleGraph) -> np.ndarray:
+    """Which states enable a deterministic transition (at most one each)."""
+    structure = graph.structure
+    deterministic = structure.edge_deterministic
+    counts = np.bincount(structure.edge_source[deterministic], minlength=graph.n_states)
+    crowded = np.flatnonzero(counts > 1)
+    if crowded.size:
+        state = int(crowded[0])
+        edges = np.flatnonzero(deterministic & (structure.edge_source == state))
+        names = sorted(structure.edge_transition[edge] for edge in edges)
+        raise UnsupportedModelError(
+            f"tangible marking {graph.markings[state].compact()} enables "
+            f"{len(names)} deterministic transitions ({names}); "
+            "the MRGP solver supports at most one — use the simulator"
+        )
+    return counts > 0
 
 
 def _fill_group(
     graph: TangibleGraph,
-    det_edge_of: list[DeterministicEdge | None],
     transition_name: str,
-    members: list[int],
+    group_edges: np.ndarray,
     kernel: np.ndarray,
     sojourn: np.ndarray,
 ) -> None:
     """Fill kernel/sojourn rows for all markings enabling one transition."""
     with span(
-        "dspn.mrgp_builder.group", transition=transition_name, members=len(members)
+        "dspn.mrgp_builder.group",
+        transition=transition_name,
+        members=len(group_edges),
     ):
-        _fill_group_untraced(
-            graph, det_edge_of, transition_name, members, kernel, sojourn
-        )
+        _fill_group_untraced(graph, transition_name, group_edges, kernel, sojourn)
 
 
 def _fill_group_untraced(
     graph: TangibleGraph,
-    det_edge_of: list[DeterministicEdge | None],
     transition_name: str,
-    members: list[int],
+    group_edges: np.ndarray,
     kernel: np.ndarray,
     sojourn: np.ndarray,
 ) -> None:
-    delays = {det_edge_of[state].delay for state in members}  # type: ignore[union-attr]
+    structure = graph.structure
+    n = graph.n_states
+    delays = np.unique(graph.values[group_edges])
     if len(delays) != 1:
         raise UnsupportedModelError(
             f"deterministic transition {transition_name!r} has varying delays "
-            f"{sorted(delays)}; constant delay required"
+            f"{delays.tolist()}; constant delay required"
         )
-    delay = delays.pop()
+    delay = float(delays[0])
 
     # exponential rates and deterministic routing out of each member,
     # both indexed by the global target marking
-    n_members = len(members)
-    rates = np.zeros((n_members, graph.n_states))
-    routing = np.zeros((n_members, graph.n_states))
-    for row, state in enumerate(members):
-        for edge in graph.exponential_edges[state]:
-            for target, probability in edge.targets:
-                rates[row, target] += edge.rate * probability
-        for target, probability in det_edge_of[state].targets:  # type: ignore[union-attr]
-            routing[row, target] += probability
-    rows = np.asarray(members)
-    outside = np.ones(graph.n_states, dtype=bool)
+    rows = structure.edge_source[group_edges]  # the members, ascending
+    n_members = len(rows)
+    member_row = np.full(n, -1)
+    member_row[rows] = np.arange(n_members)
+    pair_row = member_row[structure.pair_source]
+    edges = structure.target_edge
+    moving = (pair_row >= 0) & ~structure.pair_deterministic
+    rates = dense_sums(
+        (n_members, n),
+        pair_row[moving],
+        structure.target[moving],
+        graph.values[edges[moving]] * structure.probability[moving],
+    )
+    fired_pairs = np.isin(edges, group_edges)
+    routing = dense_sums(
+        (n_members, n),
+        pair_row[fired_pairs],
+        structure.target[fired_pairs],
+        structure.probability[fired_pairs],
+    )
+    outside = np.ones(n, dtype=bool)
     outside[rows] = False
 
     # subordinated generator over the members; exits stay outside it

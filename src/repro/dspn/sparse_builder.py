@@ -3,10 +3,11 @@
 The sparse twin of :mod:`repro.dspn.ctmc_builder`: identical edge
 semantics — vanishing-resolved exponential edges contribute
 ``rate * probability`` per target, invisible self-loops are dropped,
-the diagonal compensates row sums — but the matrix is assembled in COO
-triplets and finalized as CSR without ever allocating the dense n×n
-array, so fleet-scale nets (tens of thousands of markings) stay within
-memory proportional to the edge count.
+the diagonal compensates row sums — but the matrix is scattered from
+the graph's edge arrays into COO triplets and finalized as CSR without
+ever allocating the dense n×n array, so fleet-scale nets (tens of
+thousands of markings) stay within memory proportional to the edge
+count.
 """
 
 from __future__ import annotations
@@ -38,27 +39,24 @@ def sparse_generator(graph: TangibleGraph) -> sp.csr_array:
             "the net enables deterministic transitions; build an MRGP instead"
         )
     with span("dspn.sparse_builder", states=graph.n_states):
+        structure = graph.structure
         n = graph.n_states
-        rows: list[int] = []
-        cols: list[int] = []
-        rates: list[float] = []
-        diagonal = np.zeros(n)
-        for source in range(n):
-            for edge in graph.exponential_edges[source]:
-                for target, probability in edge.targets:
-                    if target == source:
-                        continue  # invisible self-loops do not affect the CTMC
-                    flow = edge.rate * probability
-                    rows.append(source)
-                    cols.append(target)
-                    rates.append(flow)
-                    diagonal[source] -= flow
+        rows, cols = structure.pair_source, structure.target
+        flows = graph.values[structure.target_edge] * structure.probability
+        visible = rows != cols  # invisible self-loops do not affect the CTMC
+        rows, cols, flows = rows[visible], cols[visible], flows[visible]
+        # bincount adds each row's flows in pair order; negating the sum
+        # is exact, so this equals subtracting the flows one by one
+        diagonal = -np.bincount(rows, weights=flows, minlength=n)
         nonzero_diagonal = np.flatnonzero(diagonal)
-        rows.extend(nonzero_diagonal.tolist())
-        cols.extend(nonzero_diagonal.tolist())
-        rates.extend(diagonal[nonzero_diagonal].tolist())
         matrix = sp.coo_array(
-            (np.asarray(rates), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+            (
+                np.concatenate([flows, diagonal[nonzero_diagonal]]),
+                (
+                    np.concatenate([rows, nonzero_diagonal]),
+                    np.concatenate([cols, nonzero_diagonal]),
+                ),
+            ),
             shape=(n, n),
         )
         return sp.csr_array(matrix)

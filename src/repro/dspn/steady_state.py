@@ -20,6 +20,8 @@ from repro.petri.net import PetriNet
 from repro.statespace import TangibleGraph, tangible_reachability
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.cache import StructureTier
+    from repro.engine.hashing import NetDigests
     from repro.verify.certify import Certificate
 
 #: Analytic routes accepted by :func:`solve_steady_state`.
@@ -48,6 +50,11 @@ class SteadyStateResult:
         Solve provenance (factorization, fill estimate, iterations,
         achieved residual) when the sparse route produced ``pi``;
         ``None`` for the MRGP route.
+    structure:
+        Where ``graph`` came from: ``"hit"`` when the structure tier
+        re-stamped a stored structure, ``"miss"`` when the net was
+        explored and its structure stored, ``"off"`` when it was explored
+        outside the tier.
     """
 
     markings: list[Marking]
@@ -56,6 +63,7 @@ class SteadyStateResult:
     graph: TangibleGraph
     certificate: "Certificate | None" = None
     solver_info: SparseSolveInfo | None = None
+    structure: str = "off"
 
     def expected_reward(self, reward: RewardFunction) -> float:
         """Eq. 1: the ``pi``-weighted sum of ``reward`` over markings."""
@@ -107,6 +115,7 @@ def solve_steady_state(
     method: str = "auto",
     use_cache: bool | None = None,
     verify: "bool | float | None" = None,
+    digests: "NetDigests | None" = None,
 ) -> SteadyStateResult:
     """Solve ``net`` for its stationary marking distribution.
 
@@ -124,7 +133,13 @@ def solve_steady_state(
     canonical net fingerprint plus ``max_states`` and the *requested*
     ``method``) unless caching is disabled globally or via
     ``use_cache=False``.  Cached results are shared objects: treat them
-    as immutable.
+    as immutable.  A solve that misses the solver cache takes its tangible
+    graph from the cache's structure tier when a net with the same
+    structure digest was explored before, re-stamped with ``net``'s
+    rates (bit-identical to exploring ``net``; the ``dspn.solve`` span
+    records ``structure=hit|miss|off``).  ``digests`` are ``net``'s
+    :func:`~repro.engine.hashing.net_digests`, for callers that hold
+    them already; otherwise they are computed once when needed.
 
     ``verify`` requests a post-hoc numerical certificate of the returned
     distribution (see :mod:`repro.verify.certify`): ``True`` certifies
@@ -135,7 +150,11 @@ def solve_steady_state(
     cache hit under ``verify``, an entry whose certificate is missing or
     stale is re-certified in place, and one whose certificate fails (or
     that fails re-certification) is **refused** and recomputed from
-    scratch.
+    scratch.  A verified solve never reads or writes the structure tier:
+    its certificate rests on an exploration of ``net`` itself, not on a
+    structure matched by probing.  For the same reason a cached result
+    whose graph was re-stamped (``structure == "hit"``) is refused, not
+    re-certified.
 
     Raises
     ------
@@ -162,15 +181,19 @@ def solve_steady_state(
 
     # Lazy import: the engine package imports SteadyStateResult from here.
     from repro.engine.cache import active_cache
-    from repro.engine.hashing import net_fingerprint, solver_cache_key
+    from repro.engine.hashing import net_digests, solver_cache_key
 
     with span("dspn.solve", net=net.name, requested=method) as sp:
-        fingerprint = net_fingerprint(net) if tolerance is not None else None
-
         cache = active_cache() if use_cache in (None, True) else None
+        if digests is None and (cache is not None or tolerance is not None):
+            digests = net_digests(net)
+        fingerprint = digests.fingerprint if tolerance is not None else None
+
         key = None
         if cache is not None:
-            key = solver_cache_key(net, max_states=max_states, method=method)
+            key = solver_cache_key(
+                digests.fingerprint, max_states=max_states, method=method
+            )
             cached = cache.get(key)
             if cached is not None:
                 if tolerance is None:
@@ -184,14 +207,50 @@ def solve_steady_state(
                 counter("engine.cache.refused").inc()
                 sp.set(cache="refused")
 
-        result = _solve_uncached(net, max_states=max_states, method=method)
+        structures = (
+            cache.structures if cache is not None and tolerance is None else None
+        )
+        graph, tier = tangible_graph(
+            net, max_states=max_states, structures=structures, digests=digests
+        )
+        result = _solve_graph(net, graph, method)
+        result.structure = tier
         result.pi.setflags(write=False)  # cached results are shared; freeze
         if tolerance is not None:
             result.certificate = _certify_or_raise(result, fingerprint, tolerance)
         if cache is not None and key is not None:
             cache.put(key, result)
-        sp.set(method=result.method, states=len(result.pi))
+        sp.set(method=result.method, states=len(result.pi), structure=tier)
         return result
+
+
+def tangible_graph(
+    net: PetriNet,
+    *,
+    max_states: int,
+    structures: "StructureTier | None" = None,
+    digests: "NetDigests | None" = None,
+) -> tuple[TangibleGraph, str]:
+    """``(graph, "hit" | "miss" | "off")``: ``net``'s tangible graph.
+
+    With a structure tier, a stored structure under ``net``'s structure
+    digest and ``max_states`` is stamped with ``net``'s rates (``hit``);
+    otherwise ``net`` is explored and its structure stored (``miss``).
+    Without one (``off``) the net is explored and nothing is kept.
+    """
+    if structures is None:
+        return tangible_reachability(net, max_states=max_states), "off"
+    if digests is None:
+        from repro.engine.hashing import net_digests
+
+        digests = net_digests(net)
+    key = (digests.structure, max_states)
+    structure = structures.get(key)
+    if structure is not None:
+        return structure.stamp(net), "hit"
+    graph = tangible_reachability(net, max_states=max_states)
+    structures.put(key, graph.structure)
+    return graph, "miss"
 
 
 def _serve_verified(
@@ -206,8 +265,11 @@ def _serve_verified(
     A hit with a current, passing certificate at (or below) the
     requested tolerance is served as-is.  A hit whose certificate is
     missing, stale, or looser than requested is re-certified in place —
-    cheap, no state-space rebuild — and re-stored on success.  Anything
-    that fails certification is refused so the caller recomputes.
+    cheap, no state-space rebuild — and re-stored on success, unless its
+    graph was re-stamped from the structure tier: a certificate must
+    rest on an exploration of the net itself, so that entry is refused.
+    Anything that fails certification is refused so the caller
+    recomputes.
     """
     certificate = getattr(cached, "certificate", None)
     if (
@@ -220,6 +282,8 @@ def _serve_verified(
     if certificate is not None and certificate.is_current(fingerprint):
         if certificate.tolerance <= tolerance:
             return None  # current, tight enough, and failing: refuse
+    if cached.structure == "hit":
+        return None  # a re-stamped graph: certify a fresh exploration instead
     from repro.verify.certify import certify_steady_state
 
     fresh = certify_steady_state(cached, fingerprint=fingerprint, tolerance=tolerance)
@@ -246,11 +310,10 @@ def _certify_or_raise(
     return certificate
 
 
-def _solve_uncached(
-    net: PetriNet, *, max_states: int, method: str
+def _solve_graph(
+    net: PetriNet, graph: TangibleGraph, method: str
 ) -> SteadyStateResult:
-    """The actual reachability + solve pipeline, without memoization."""
-    graph = tangible_reachability(net, max_states=max_states)
+    """The solve of ``net``'s tangible graph, without memoization."""
     deterministic = graph.has_deterministic()
     if method == "sparse" and deterministic:
         raise UnsupportedModelError(

@@ -19,12 +19,13 @@ import numpy as np
 
 from repro.dspn.rewards import RewardFunction, reward_vector
 from repro.dspn.sparse_builder import sparse_generator
+from repro.dspn.steady_state import tangible_graph
+from repro.engine.cache import active_cache
 from repro.errors import UnsupportedModelError
 from repro.markov.sparse import transient_distribution_sparse
 from repro.obs import span
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
-from repro.statespace import tangible_reachability
 
 
 @dataclass
@@ -47,9 +48,16 @@ def transient_rewards(
     """Expected instantaneous reward at each time in ``times``.
 
     The initial distribution is the net's initial marking (resolved
-    through vanishing markings if needed).
+    through vanishing markings if needed).  The tangible graph comes
+    through the active cache's structure tier, as in
+    :func:`~repro.dspn.steady_state.solve_steady_state`.
     """
-    graph = tangible_reachability(net, max_states=max_states)
+    cache = active_cache()
+    graph, tier = tangible_graph(
+        net,
+        max_states=max_states,
+        structures=None if cache is None else cache.structures,
+    )
     if graph.has_deterministic():
         raise UnsupportedModelError(
             "transient analysis supports exponential-only nets; "
@@ -58,7 +66,8 @@ def transient_rewards(
     rewards = reward_vector(graph.markings, reward)
     initial = np.asarray(graph.initial_distribution, dtype=float)
 
-    with span("dspn.transient", states=graph.n_states):
+    with span("dspn.transient", states=graph.n_states) as sp:
+        sp.set(structure=tier)
         generator = sparse_generator(graph)
         distributions = [
             transient_distribution_sparse(generator, initial, float(time))

@@ -13,6 +13,7 @@ CTMC == MRGP across the whole experiment registry.
 
 from repro.engine.cache import (
     SolverCache,
+    StructureTier,
     active_cache,
     cache_override,
     cache_settings,
@@ -20,6 +21,8 @@ from repro.engine.cache import (
     default_cache_directory,
 )
 from repro.engine.hashing import (
+    NetDigests,
+    net_digests,
     net_fingerprint,
     probe_markings,
     reliability_fingerprint,
@@ -29,7 +32,9 @@ from repro.engine.hashing import (
 from repro.engine.sweep import SweepPlan, chunk_points, resolve_jobs, sweep
 
 __all__ = [
+    "NetDigests",
     "SolverCache",
+    "StructureTier",
     "SweepPlan",
     "active_cache",
     "cache_override",
@@ -37,6 +42,7 @@ __all__ = [
     "chunk_points",
     "configure_cache",
     "default_cache_directory",
+    "net_digests",
     "net_fingerprint",
     "probe_markings",
     "reliability_fingerprint",

@@ -1,10 +1,16 @@
-"""Memoization of steady-state solutions.
+"""Memoization of steady-state solutions and of net structures.
 
 Two storage tiers, both keyed by :func:`repro.engine.hashing.solver_cache_key`:
 
 * an in-memory LRU (always available, per process), and
 * an optional content-verified on-disk store (shared across processes
   and runs) under ``~/.cache/repro`` or ``$REPRO_CACHE_DIR``.
+
+Beside them, each cache holds a memory-only :class:`StructureTier`:
+rate-free tangible graphs keyed by the structure digest of
+:func:`repro.engine.hashing.net_digests` and ``max_states``, so a net
+that differs from an earlier one only in its rates and delays is
+re-stamped instead of re-explored (see ``docs/ENGINE.md``).
 
 Disk entries are a 64-hex-character SHA-256 digest line followed by the
 pickled payload.  The digest is recomputed on every load; a mismatch —
@@ -34,8 +40,14 @@ from typing import Any
 
 from repro.obs import counter
 from repro.obs.events import emit as emit_event
+from repro.statespace.graph import TangibleStructure
 
 DEFAULT_MAXSIZE = 256
+
+#: Stored states plus successor pairs the structure tier holds at most
+#: (roughly 100 bytes each on the perception nets, markings included,
+#: so about 100 MiB at the bound).
+STRUCTURE_BUDGET = 1_000_000
 
 _DIGEST_LENGTH = 64  # hex characters of SHA-256
 
@@ -50,8 +62,56 @@ def default_cache_directory() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
+class StructureTier:
+    """Rate-free tangible graphs, an LRU bounded by their total size.
+
+    Keys are ``(structure digest, max_states)``; a structure's size is
+    its states plus successor pairs (:attr:`TangibleStructure.size`).
+    Only explorations that finished are stored, so a state-space
+    overflow is never remembered.
+    """
+
+    def __init__(self, budget: int = STRUCTURE_BUDGET) -> None:
+        self.budget = budget
+        self._entries: OrderedDict[tuple[str, int], TangibleStructure] = OrderedDict()
+        self._size = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple[str, int]) -> TangibleStructure | None:
+        structure = self._entries.get(key)
+        if structure is None:
+            self.misses += 1
+            counter("engine.structure.misses").inc()
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        counter("engine.structure.hits").inc()
+        return structure
+
+    def put(self, key: tuple[str, int], structure: TangibleStructure) -> None:
+        if key in self._entries or structure.size > self.budget:
+            return
+        self._entries[key] = structure
+        self._size += structure.size
+        while self._size > self.budget:
+            _, evicted = self._entries.popitem(last=False)
+            self._size -= evicted.size
+            self.evictions += 1
+            counter("engine.structure.evictions").inc()
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self._size = 0
+
+
 class SolverCache:
-    """An in-memory LRU with an optional verified on-disk second tier."""
+    """An in-memory LRU with an optional verified on-disk second tier,
+    and the memory-only :class:`StructureTier` as :attr:`structures`."""
 
     def __init__(
         self,
@@ -70,6 +130,7 @@ class SolverCache:
         self.rejected = 0  # disk entries dropped: corrupt digest or payload
         self.evictions = 0  # in-memory entries displaced by the LRU bound
         self.collisions_prevented = 0  # concurrent publishes of one key
+        self.structures = StructureTier()
 
     # -- in-memory tier -------------------------------------------------
     def __len__(self) -> int:
@@ -112,8 +173,9 @@ class SolverCache:
             counter("engine.cache.evictions").inc()
 
     def clear(self, *, disk: bool = False) -> None:
-        """Drop the in-memory tier (and the disk tier with ``disk=True``)."""
+        """Drop the in-memory tiers (and the disk tier with ``disk=True``)."""
         self._entries.clear()
+        self.structures.clear()
         if disk and self.directory is not None and self.directory.exists():
             for path in self.directory.glob("*/*.pkl"):
                 path.unlink(missing_ok=True)
@@ -222,10 +284,11 @@ def configure_cache(
 ) -> None:
     """Reconfigure the process-wide solver cache.
 
-    ``enabled=False`` turns memoization off entirely; ``directory``
-    (None = memory only) adds the on-disk tier; ``maxsize`` bounds the
-    in-memory LRU.  Omitted arguments keep their current value.  Any
-    change discards the current in-memory entries.
+    ``enabled=False`` turns memoization off entirely, the structure tier
+    included; ``directory`` (None = memory only) adds the on-disk tier;
+    ``maxsize`` bounds the in-memory LRU.  Omitted arguments keep their
+    current value.  Any change discards the current in-memory entries
+    and structures.
     """
     global _enabled, _directory, _maxsize, _cache
     if enabled is not None:

@@ -108,20 +108,38 @@ def _arc_line(arc: Arc, markings: list[Marking]) -> str:
     return f"arc|{arc.transition}|{arc.kind.value}|{arc.place}|{multiplicity}"
 
 
-def net_fingerprint(net: PetriNet) -> str:
-    """SHA-256 hex digest identifying ``net`` up to probe resolution.
+@dataclasses.dataclass(frozen=True)
+class NetDigests:
+    """The two content addresses of a net, from one probe pass.
 
-    Invariant under place/transition/arc insertion order; sensitive to
-    every name, initial token count, capacity, rate, weight, priority,
-    delay, guard behaviour, server semantics and arc multiplicity.
-    The net's *name* is deliberately excluded — it is a display label.
+    ``fingerprint`` identifies the whole net (:func:`net_fingerprint`);
+    ``structure`` identifies its reachability graph: the same lines with
+    every exponential rate (constant or callable) and every deterministic
+    delay left out, so nets that differ only in those values share it.
+    The engine's structure tier keys rate-free tangible graphs by it.
+    """
+
+    fingerprint: str
+    structure: str
+
+
+def net_digests(net: PetriNet) -> NetDigests:
+    """The :class:`NetDigests` of ``net``; each callable is probed once.
+
+    The fingerprint is invariant under place/transition/arc insertion
+    order and sensitive to every name, initial token count, capacity,
+    rate, weight, priority, delay, guard behaviour, server semantics and
+    arc multiplicity.  The net's *name* is deliberately excluded — it is
+    a display label.  The structure digest drops rates and delays and
+    keeps everything else.
     """
     markings = probe_markings(net)
-    lines = [f"repro-net-fingerprint/v{FINGERPRINT_VERSION}"]
+    lines = []  # (fingerprint line, structure digest line)
 
     for name in sorted(net.places):
         place = net.places[name]
-        lines.append(f"place|{name}|tokens={place.tokens}|capacity={place.capacity}")
+        line = f"place|{name}|tokens={place.tokens}|capacity={place.capacity}"
+        lines.append((line, line))
 
     for name in sorted(net.transitions):
         transition = net.transitions[name]
@@ -130,37 +148,65 @@ def net_fingerprint(net: PetriNet) -> str:
             if transition.guard is None
             else _probe(transition.guard_satisfied, markings)
         )
+        head = f"transition|{name}|{transition.kind}|guard={guard}"
         if isinstance(transition, ExponentialTransition):
-            detail = (
-                f"rate={_probe(transition.rate, markings)}"
-                f"|server={transition.server.value}"
+            server = f"server={transition.server.value}"
+            lines.append(
+                (
+                    f"{head}|rate={_probe(transition.rate, markings)}|{server}",
+                    f"{head}|{server}",
+                )
             )
         elif isinstance(transition, ImmediateTransition):
-            detail = (
-                f"weight={_probe(transition.weight, markings)}"
+            line = (
+                f"{head}|weight={_probe(transition.weight, markings)}"
                 f"|priority={transition.priority}"
             )
+            lines.append((line, line))
         elif isinstance(transition, DeterministicTransition):
-            detail = f"delay={transition.delay!r}"
+            lines.append((f"{head}|delay={transition.delay!r}", head))
         else:  # pragma: no cover - no other kinds exist today
-            detail = "kind-only"
-        lines.append(f"transition|{name}|{transition.kind}|guard={guard}|{detail}")
+            lines.append((f"{head}|kind-only", f"{head}|kind-only"))
 
-    lines.extend(sorted(_arc_line(arc, markings) for arc in net.arcs))
+    arcs = sorted(_arc_line(arc, markings) for arc in net.arcs)
+    full = (line for line, _ in lines)
+    structural = (line for _, line in lines)
+    return NetDigests(
+        fingerprint=_sha256(
+            [f"repro-net-fingerprint/v{FINGERPRINT_VERSION}", *full, *arcs]
+        ),
+        structure=_sha256(
+            [f"repro-net-structure/v{FINGERPRINT_VERSION}", *structural, *arcs]
+        ),
+    )
 
+
+def _sha256(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def solver_cache_key(net: PetriNet, *, max_states: int, method: str) -> str:
+def net_fingerprint(net: PetriNet) -> str:
+    """SHA-256 hex digest identifying ``net`` up to probe resolution.
+
+    The ``fingerprint`` of :func:`net_digests`; call that instead when
+    the structure digest is wanted as well.
+    """
+    return net_digests(net).fingerprint
+
+
+def solver_cache_key(net: "PetriNet | str", *, max_states: int, method: str) -> str:
     """Content-addressed key for one steady-state solve.
 
-    Includes the solver options because they change the *outcome*:
-    ``max_states`` bounds reachability (a net solvable under one bound
-    may raise under another) and ``method`` selects the analytic route.
-    :data:`SOLVER_REVISION` keeps results of older solver code out.
+    ``net`` is the net or its :func:`net_fingerprint`, for callers that
+    hold the fingerprint already.  Includes the solver options because
+    they change the *outcome*: ``max_states`` bounds reachability (a net
+    solvable under one bound may raise under another) and ``method``
+    selects the analytic route.  :data:`SOLVER_REVISION` keeps results
+    of older solver code out.
     """
+    fingerprint = net if isinstance(net, str) else net_fingerprint(net)
     base = (
-        f"{net_fingerprint(net)}|max_states={max_states}|method={method}"
+        f"{fingerprint}|max_states={max_states}|method={method}"
         f"|solver={SOLVER_REVISION}"
     )
     return hashlib.sha256(base.encode()).hexdigest()

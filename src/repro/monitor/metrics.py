@@ -57,7 +57,7 @@ class MonitorSummary:
     false_triggers: int
     rounds: int
     errors: int
-    rolling_reliability: float
+    rolling_reliability: "float | None"  # None when no window was kept
     empirical_reliability: float
 
     @property
@@ -77,6 +77,14 @@ class MonitorSummary:
             if self.mean_detection_latency is not None
             else "n/a"
         )
+        reliability = (
+            f"reliability          : {self.empirical_reliability:.5f} "
+            f"(cumulative over {self.rounds} rounds)"
+            if self.rolling_reliability is None
+            else f"rolling reliability  : {self.rolling_reliability:.5f} "
+            f"(cumulative {self.empirical_reliability:.5f} "
+            f"over {self.rounds} rounds)"
+        )
         return "\n".join(
             [
                 f"compromises          : {self.compromises} "
@@ -86,9 +94,7 @@ class MonitorSummary:
                 f"rejuvenations        : {self.triggers} "
                 f"({self.false_triggers} on healthy modules, "
                 f"rate {self.false_trigger_rate:.2f})",
-                f"rolling reliability  : {self.rolling_reliability:.5f} "
-                f"(cumulative {self.empirical_reliability:.5f} "
-                f"over {self.rounds} rounds)",
+                reliability,
             ]
         )
 
@@ -119,8 +125,10 @@ class MonitorReport:
     def summary(self, rolling_reliability: "float | None" = None) -> MonitorSummary:
         """The totals as a :class:`MonitorSummary` (fleet aggregate).
 
-        ``rolling_reliability`` defaults to the cumulative rate — the
-        batch runtime keeps no per-group rolling window.
+        ``rolling_reliability`` is the rate over a recent window, given
+        by callers that keep one (:class:`MonitorController`); the batch
+        runtime keeps none, so it stays ``None`` and :meth:`render`
+        prints the cumulative rate alone.
         """
         cumulative = 1.0 - self.errors / self.rounds if self.rounds else 1.0
         return MonitorSummary(
@@ -136,9 +144,7 @@ class MonitorReport:
             false_triggers=self.false_triggers,
             rounds=self.rounds,
             errors=self.errors,
-            rolling_reliability=(
-                cumulative if rolling_reliability is None else rolling_reliability
-            ),
+            rolling_reliability=rolling_reliability,
             empirical_reliability=cumulative,
         )
 

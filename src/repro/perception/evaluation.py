@@ -22,7 +22,8 @@ import numpy as np
 from repro.dspn import SteadyStateResult, solve_steady_state
 from repro.engine.cache import active_cache
 from repro.engine.hashing import (
-    net_fingerprint,
+    NetDigests,
+    net_digests,
     reliability_fingerprint,
     reward_cache_key,
 )
@@ -131,7 +132,8 @@ class Evaluation:
     :func:`evaluate`, the engine's sweep tasks, the HTTP workers and
     :class:`PerceptionSystem` are calls onto this request.  It builds
     its net once (:attr:`net`, via :func:`build_net` with
-    ``build_options``), fingerprints it once and derives one :attr:`key`
+    ``build_options``), probes it once (:attr:`digests`, which the
+    solver's cache and structure keys reuse) and derives one :attr:`key`
     from :func:`repro.engine.hashing.reward_cache_key`: the engine's
     reward-tier entry, the server's coalescing and result-cache slot,
     and a served response's ``cache_key``.  ``reliability=None``
@@ -163,9 +165,15 @@ class Evaluation:
         return build_net(self.parameters, **dict(self.build_options))
 
     @cached_property
+    def digests(self) -> NetDigests:
+        """The fingerprint and structure digest of :attr:`net`, from one
+        probe pass shared by the reward key and the solver's keys."""
+        return net_digests(self.net)
+
+    @cached_property
     def fingerprint(self) -> str:
         """The engine's canonical fingerprint of :attr:`net`."""
-        return net_fingerprint(self.net)
+        return self.digests.fingerprint
 
     @cached_property
     def key(self) -> str | None:
@@ -188,6 +196,7 @@ class Evaluation:
             max_states=self.max_states,
             method=self.method,
             verify=self.verify,
+            digests=self.digests,
         )
 
     @cached_property

@@ -12,7 +12,10 @@ Turning a DSPN into a solvable stochastic process takes two steps:
    (including immediate cycles, handled by a linear solve).
 
 The result, a :class:`~repro.statespace.graph.TangibleGraph`, is consumed
-by the CTMC and MRGP builders in :mod:`repro.dspn`.
+by the CTMC and MRGP builders in :mod:`repro.dspn`.  It is a rate-free
+:class:`~repro.statespace.graph.TangibleStructure` stamped with one net's
+rates and delays; the engine keeps structures and re-stamps them for
+nets that differ only in rates (``docs/ENGINE.md``).
 """
 
 from repro.statespace.graph import (
@@ -20,6 +23,7 @@ from repro.statespace.graph import (
     ExponentialEdge,
     RawGraph,
     TangibleGraph,
+    TangibleStructure,
 )
 from repro.statespace.reachability import explore
 from repro.statespace.vanishing import eliminate_vanishing
@@ -29,6 +33,7 @@ __all__ = [
     "ExponentialEdge",
     "RawGraph",
     "TangibleGraph",
+    "TangibleStructure",
     "eliminate_vanishing",
     "explore",
 ]

@@ -11,7 +11,9 @@ Semantics implemented here:
   **highest enabled priority level** compete; timed transitions never
   fire in such (vanishing) markings.
 * Exponential edges carry the *effective* rate per
-  :meth:`ExponentialTransition.rate_in` (single- vs infinite-server).
+  :meth:`ExponentialTransition.rate_in` (single- vs infinite-server) and
+  the enabling degree it was computed from, so a structure can later be
+  re-rated (:meth:`~repro.statespace.graph.TangibleStructure.stamp`).
 * Deterministic edges carry the fixed delay; conflict resolution between
   several deterministic transitions is left to the solver (the MRGP
   solver rejects markings enabling more than one).
@@ -109,6 +111,7 @@ def _explore(net: PetriNet, *, max_states: int) -> RawGraph:
                             target=target,
                             kind="exponential",
                             value=transition.rate_in(marking, degree),
+                            degree=degree,
                         )
                     )
                 elif isinstance(transition, DeterministicTransition):
@@ -118,6 +121,7 @@ def _explore(net: PetriNet, *, max_states: int) -> RawGraph:
                             target=target,
                             kind="deterministic",
                             value=transition.delay,
+                            degree=degree,
                         )
                     )
                 else:  # pragma: no cover - future transition kinds

@@ -26,12 +26,7 @@ from scipy.sparse.linalg import splu
 
 from repro.errors import StateSpaceError
 from repro.obs import counter, span
-from repro.statespace.graph import (
-    DeterministicEdge,
-    ExponentialEdge,
-    RawGraph,
-    TangibleGraph,
-)
+from repro.statespace.graph import RawGraph, TangibleGraph, TangibleStructure
 
 _PROBABILITY_TOLERANCE = 1e-9
 
@@ -85,36 +80,47 @@ def _eliminate(graph: RawGraph) -> TangibleGraph:
         )
         return resolved[raw_target]
 
-    exponential_edges: list[list[ExponentialEdge]] = []
-    deterministic_edges: list[list[DeterministicEdge]] = []
-    for raw_index in tangible_indices:
-        exp_out: list[ExponentialEdge] = []
-        det_out: list[DeterministicEdge] = []
+    sources: list[int] = []
+    transitions: list[str] = []
+    degrees: list[int] = []
+    deterministic: list[bool] = []
+    values: list[float] = []
+    target_edge: list[int] = []
+    targets: list[int] = []
+    probabilities: list[float] = []
+    for source, raw_index in enumerate(tangible_indices):
         for edge in graph.edges[raw_index]:
-            targets = resolve(edge.target)
-            if edge.kind == "exponential":
-                exp_out.append(
-                    ExponentialEdge(transition=edge.transition, rate=edge.value, targets=targets)
-                )
-            elif edge.kind == "deterministic":
-                det_out.append(
-                    DeterministicEdge(transition=edge.transition, delay=edge.value, targets=targets)
-                )
-            else:  # pragma: no cover - tangible markings have no immediate edges
+            if edge.kind == "immediate":  # pragma: no cover - never tangible
                 raise StateSpaceError("immediate edge out of a tangible marking")
-        exponential_edges.append(exp_out)
-        deterministic_edges.append(det_out)
+            timed = len(values)
+            sources.append(source)
+            transitions.append(edge.transition)
+            degrees.append(edge.degree)
+            deterministic.append(edge.kind == "deterministic")
+            values.append(edge.value)
+            for target, probability in resolve(edge.target):
+                target_edge.append(timed)
+                targets.append(target)
+                probabilities.append(probability)
 
     initial_distribution = [0.0] * len(tangible_indices)
     for pos, prob in resolve(graph.initial):
         initial_distribution[pos] += prob
 
-    return TangibleGraph(
+    structure = TangibleStructure(
         markings=[graph.markings[i] for i in tangible_indices],
         initial_distribution=initial_distribution,
-        exponential_edges=exponential_edges,
-        deterministic_edges=deterministic_edges,
+        edge_source=np.asarray(sources, dtype=np.int64),
+        edge_transition=tuple(transitions),
+        edge_degree=np.asarray(degrees, dtype=np.int64),
+        edge_deterministic=np.asarray(deterministic, dtype=bool),
+        target_edge=np.asarray(target_edge, dtype=np.int64),
+        target=np.asarray(targets, dtype=np.int64),
+        probability=np.asarray(probabilities, dtype=float),
     )
+    # the rates explore recorded are the ones TangibleStructure.stamp
+    # computes from the net, so a re-stamped structure equals this graph
+    return TangibleGraph(structure, np.asarray(values, dtype=float))
 
 
 def _absorption_matrix(

@@ -162,6 +162,17 @@ class TestReliability:
         # the error has rolled out of the window
         assert summary.rolling_reliability == 1.0
 
+    def test_report_without_a_window_renders_the_cumulative_rate_alone(
+        self, controller
+    ):
+        feed(controller, 1.0, VoteOutcome.ERROR)
+        feed(controller, 2.0, VoteOutcome.CORRECT)
+        summary = controller.core.report().summary()
+        assert summary.rolling_reliability is None
+        text = summary.render()
+        assert "rolling reliability" not in text
+        assert "reliability          : 0.50000 (cumulative over 2 rounds)" in text
+
     def test_inconclusive_is_not_an_error(self, controller):
         feed(controller, 1.0, VoteOutcome.INCONCLUSIVE)
         assert controller.summary().errors == 0

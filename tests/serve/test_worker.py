@@ -179,9 +179,9 @@ class TestWorkers:
 
             return wrapper
 
-        fingerprint = counting("fingerprint", hashing.net_fingerprint)
+        probe_pass = counting("fingerprint", hashing.net_digests)
         for module in (hashing, evaluation):
-            monkeypatch.setattr(module, "net_fingerprint", fingerprint)
+            monkeypatch.setattr(module, "net_digests", probe_pass)
         for builder in ("build_rejuvenation_net", "build_no_rejuvenation_net"):
             monkeypatch.setattr(
                 evaluation, builder, counting("build", getattr(evaluation, builder))
@@ -190,10 +190,10 @@ class TestWorkers:
         with cache_override(enabled=True):
             fingerprint_spec(spec)
             solve_worker(spec)
-        # one build + one fingerprint per request; the solver cache key
-        # adds the third fingerprint
+        # one build + one probe pass per request; the solver's cache and
+        # structure keys reuse the request's digests
         assert calls["build"] <= 2
-        assert calls["fingerprint"] <= 3
+        assert calls["fingerprint"] <= 2
 
     def test_verify_worker_reports_lint_and_certificate(self):
         result = verify_worker({"preset": "four"})

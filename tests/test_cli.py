@@ -163,7 +163,9 @@ class TestMonitor:
         assert "false-trigger rate" in output
         assert "-- steady / periodic (seed 7)" in output
         assert "-- steady / threshold (seed 7)" in output
-        assert "rolling reliability" in output
+        # the batch keeps no rolling window: only the cumulative rate
+        assert "(cumulative over 3000 rounds)" in output
+        assert "rolling reliability" not in output
 
     def test_attack_scenario(self, capsys):
         assert main(

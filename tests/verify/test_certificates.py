@@ -267,15 +267,15 @@ class TestCacheRefusal:
         # raise (and never be cached), not be returned silently
         import repro.dspn.steady_state as module
 
-        original = module._solve_uncached
+        original = module._solve_graph
 
-        def corrupted_solve(net, *, max_states, method):
-            result = original(net, max_states=max_states, method=method)
+        def corrupted_solve(net, graph, method):
+            result = original(net, graph, method)
             pi = result.pi.copy()
             pi[0], pi[-1] = pi[-1], pi[0]
             return corrupt(result, pi)
 
-        monkeypatch.setattr(module, "_solve_uncached", corrupted_solve)
+        monkeypatch.setattr(module, "_solve_graph", corrupted_solve)
         net = cycle_net("certify-fresh-failure")
         with cache_override(enabled=True, directory=None):
             with pytest.raises(VerificationError, match="failed certification"):

@@ -180,7 +180,7 @@ class TestSparseCacheGating:
         def corrupted_solve(*args, **kwargs):
             return corrupt(sparse_result, pi)
 
-        monkeypatch.setattr(steady_state_module, "_solve_uncached", corrupted_solve)
+        monkeypatch.setattr(steady_state_module, "_solve_graph", corrupted_solve)
         with cache_override(enabled=True, directory=None):
             with pytest.raises(VerificationError, match="sparse-balance"):
                 solve_steady_state(net, method="sparse", verify=True)
