@@ -49,13 +49,13 @@ BUDGET_PCT = 5.0
 INSTRUMENTED_MODULES = (
     "repro.statespace.reachability",
     "repro.statespace.vanishing",
-    "repro.dspn.ctmc_builder",
+    "repro.dspn.sparse_builder",
     "repro.dspn.mrgp_builder",
     "repro.dspn.rewards",
     "repro.dspn.steady_state",
     "repro.dspn.simulate",
     "repro.markov.linear",
-    "repro.markov.ctmc",
+    "repro.markov.sparse",
     "repro.markov.mrgp",
     "repro.perception.evaluation",
     "repro.engine.cache",

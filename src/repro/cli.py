@@ -29,7 +29,7 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.errors import ReproError
+from repro.errors import ParameterError, ReproError
 from repro.perception.parameters import PerceptionParameters
 
 
@@ -551,6 +551,12 @@ def _command_metrics(args: argparse.Namespace) -> int:
         quorum_loss_probability,
     )
 
+    if not 0 <= args.mission < float("inf"):
+        raise ParameterError(f"--mission must be finite and >= 0, got {args.mission:g}")
+    if not 0 < args.request_rate < float("inf"):
+        raise ParameterError(
+            f"--request-rate must be finite and > 0, got {args.request_rate:g}"
+        )
     parameters = _parameters_from(args)
     mean_loss = mean_time_to_quorum_loss(parameters)
     print(f"mean time to first quorum loss : {mean_loss:,.0f} s "

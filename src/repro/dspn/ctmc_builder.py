@@ -1,30 +1,38 @@
-"""Build a dense CTMC from the tangible graph of an exponential-only net.
+"""The CTMC of an exponential-only net, and its rate derivatives.
 
-The steady-state and transient solvers run on the CSR generator of
-:mod:`repro.dspn.sparse_builder`; the dense :class:`~repro.markov.ctmc.CTMC`
-built here serves generator sensitivities and user-built dense chains.
+:func:`build_ctmc` wraps the CSR generator of
+:mod:`repro.dspn.sparse_builder` in a :class:`~repro.markov.ctmc.CTMC`
+for the time-domain metrics; :func:`generator_derivative` gives the CSR
+``dQ/dθ`` the exact sensitivities of :mod:`repro.markov.sensitivity`
+need.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
+from repro.dspn.sparse_builder import sparse_generator
 from repro.errors import UnsupportedModelError
 from repro.markov.ctmc import CTMC
-from repro.obs import span
 from repro.statespace.graph import TangibleGraph
 
 
-def generator_derivative(graph: TangibleGraph, transition: str) -> np.ndarray:
-    """``dQ/dθ`` for the base rate θ of one exponential transition.
+def generator_derivative(graph: TangibleGraph, transition: str) -> sp.csr_array:
+    """CSR ``dQ/dθ`` for the base rate θ of one exponential transition.
 
     Valid when the transition's rate enters every edge linearly (constant
     rate, single-server semantics — true for the perception models):
-    then ``dQ/dθ`` is the 0/1-weighted incidence pattern of that
-    transition's edges, with diagonal compensation.  Feed the result to
-    :mod:`repro.markov.sensitivity` for exact reward sensitivities.
+    then ``dQ/dθ`` is the generator of the same graph with rate 1 on
+    that transition's edges and 0 on every other edge.  Feed the result
+    to :mod:`repro.markov.sensitivity` for exact reward sensitivities.
+
+    Raises
+    ------
+    UnsupportedModelError
+        If the transition has no exponential edge, or some tangible
+        marking enables a deterministic transition.
     """
-    n = graph.n_states
     structure = graph.structure
     chosen = np.fromiter(
         (name == transition for name in structure.edge_transition),
@@ -36,44 +44,11 @@ def generator_derivative(graph: TangibleGraph, transition: str) -> np.ndarray:
         raise UnsupportedModelError(
             f"transition {transition!r} contributes no exponential edge"
         )
-    pairs = chosen[structure.target_edge]
-    derivative = _scatter(
-        n,
-        structure.pair_source[pairs],
-        structure.target[pairs],
-        structure.probability[pairs],
-    )
-    np.fill_diagonal(derivative, -derivative.sum(axis=1))
-    return derivative
-
-
-def _scatter(
-    n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Dense ``(n, n)`` sums of ``values`` at ``(rows, cols)``, self-loops dropped."""
-    visible = rows != cols  # invisible self-loops do not affect the CTMC
-    return dense_sums((n, n), rows[visible], cols[visible], values[visible])
-
-
-def dense_sums(
-    shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Dense array of ``values`` summed at ``(rows, cols)``.
-
-    Each cell adds its values in input order, as a ``+=`` loop over the
-    entries would, so the sums are bit-identical to that loop's.
-    """
-    flat = np.bincount(
-        rows * shape[1] + cols, weights=values, minlength=shape[0] * shape[1]
-    )
-    return flat.astype(float, copy=False).reshape(shape)
+    return sparse_generator(TangibleGraph(structure, chosen.astype(float)))
 
 
 def build_ctmc(graph: TangibleGraph) -> CTMC:
-    """Construct the CTMC of a net with no deterministic behaviour.
-
-    Exponential edges whose vanishing resolution splits over several
-    tangible targets contribute ``rate * probability`` to each target.
+    """The CTMC of a net with no deterministic behaviour, on its CSR generator.
 
     Raises
     ------
@@ -81,18 +56,4 @@ def build_ctmc(graph: TangibleGraph) -> CTMC:
         If any tangible marking enables a deterministic transition (use
         the MRGP builder instead).
     """
-    if graph.has_deterministic():
-        raise UnsupportedModelError(
-            "the net enables deterministic transitions; build an MRGP instead"
-        )
-    with span("dspn.ctmc_builder", states=graph.n_states):
-        n = graph.n_states
-        structure = graph.structure
-        generator = _scatter(
-            n,
-            structure.pair_source,
-            structure.target,
-            graph.values[structure.target_edge] * structure.probability,
-        )
-        np.fill_diagonal(generator, -generator.sum(axis=1))
-        return CTMC(generator, states=list(range(n)))
+    return CTMC(sparse_generator(graph))

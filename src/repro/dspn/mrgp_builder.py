@@ -34,13 +34,26 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.dspn.ctmc_builder import dense_sums
 from repro.errors import UnsupportedModelError
 from repro.markov.uniformization import expm_and_integral
 from repro.obs import span
 from repro.statespace.graph import TangibleGraph
 
 _PROBABILITY_TOLERANCE = 1e-14
+
+
+def _dense_sums(
+    shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Dense array of ``values`` summed at ``(rows, cols)``.
+
+    Each cell adds its values in input order, as a ``+=`` loop over the
+    entries would, so the sums are bit-identical to that loop's.
+    """
+    flat = np.bincount(
+        rows * shape[1] + cols, weights=values, minlength=shape[0] * shape[1]
+    )
+    return flat.astype(float, copy=False).reshape(shape)
 
 
 def build_mrgp_kernels(graph: TangibleGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +94,7 @@ def _build_kernels(graph: TangibleGraph) -> tuple[np.ndarray, np.ndarray, int]:
     pairs = ~structure.pair_deterministic & free[sources]
     rows = sources[pairs]
     edges = structure.target_edge[pairs]
-    kernel = dense_sums(
+    kernel = _dense_sums(
         (n, n),
         rows,
         structure.target[pairs],
@@ -161,14 +174,14 @@ def _fill_group_untraced(
     pair_row = member_row[structure.pair_source]
     edges = structure.target_edge
     moving = (pair_row >= 0) & ~structure.pair_deterministic
-    rates = dense_sums(
+    rates = _dense_sums(
         (n_members, n),
         pair_row[moving],
         structure.target[moving],
         graph.values[edges[moving]] * structure.probability[moving],
     )
     fired_pairs = np.isin(edges, group_edges)
-    routing = dense_sums(
+    routing = _dense_sums(
         (n_members, n),
         pair_row[fired_pairs],
         structure.target[fired_pairs],

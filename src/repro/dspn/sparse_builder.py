@@ -1,13 +1,11 @@
 """Build a CSR generator from a tangible reachability graph.
 
-The sparse twin of :mod:`repro.dspn.ctmc_builder`: identical edge
-semantics — vanishing-resolved exponential edges contribute
-``rate * probability`` per target, invisible self-loops are dropped,
-the diagonal compensates row sums — but the matrix is scattered from
-the graph's edge arrays into COO triplets and finalized as CSR without
-ever allocating the dense n×n array, so fleet-scale nets (tens of
-thousands of markings) stay within memory proportional to the edge
-count.
+Vanishing-resolved exponential edges contribute ``rate * probability``
+per target, invisible self-loops are dropped and the diagonal
+compensates row sums.  The matrix is scattered from the graph's edge
+arrays into COO triplets and finalized as CSR without ever allocating
+the dense n×n array, so fleet-scale nets (tens of thousands of markings)
+stay within memory proportional to the edge count.
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ def sparse_generator(graph: TangibleGraph) -> sp.csr_array:
     """CSR generator of a net with no deterministic behaviour.
 
     Duplicate (source, target) triplets are summed by the COO→CSR
-    conversion, mirroring the dense builder's ``+=`` accumulation, so
-    ``sparse_generator(g).toarray()`` matches ``build_ctmc(g).generator``
-    to floating-point rounding (the differential suite pins this).
+    conversion, so parallel edges between two markings add up.
 
     Raises
     ------

@@ -4,9 +4,12 @@ This package is self-contained (numpy/scipy only) and independent of the
 Petri net layer; :mod:`repro.dspn` builds the matrices from reachability
 graphs and delegates the numerics here.
 
-* :class:`~repro.markov.ctmc.CTMC` — continuous-time Markov chains:
-  stationary distribution, transient analysis via uniformization,
-  reward evaluation.
+* :class:`~repro.markov.ctmc.CTMC` — continuous-time Markov chains held
+  as a CSR generator: stationary distribution, transient and accumulated
+  rewards via uniformization, absorption; first-passage times
+  (:mod:`~repro.markov.first_passage`, exact to roundoff) and exact
+  stationary sensitivities (:mod:`~repro.markov.sensitivity`) run on the
+  same CSR matrix.
 * :class:`~repro.markov.dtmc.DTMC` — discrete-time chains: stationary
   distribution, absorption analysis.
 * :func:`~repro.markov.mrgp.solve_mrgp` — steady-state solution of a
@@ -16,9 +19,8 @@ graphs and delegates the numerics here.
   route shares (recurrent class, pinned anchor state, LAPACK / SuperLU /
   ILU-GMRES chosen by structural fill).
 * :mod:`~repro.markov.sparse` — CSR stationary solves and sparse
-  uniformization for state spaces past the dense O(n²) memory ceiling,
-  with solve provenance (:class:`SparseSolveInfo`) feeding the
-  numerical certificates.
+  uniformization, with solve provenance (:class:`SparseSolveInfo`)
+  feeding the numerical certificates; :class:`CTMC` delegates to them.
 """
 
 from repro.markov.ctmc import CTMC
@@ -44,7 +46,6 @@ from repro.markov.sparse import (
 )
 from repro.markov.uniformization import (
     expm_and_integral,
-    transient_distribution,
     uniformized_series,
 )
 
@@ -65,7 +66,6 @@ __all__ = [
     "solve_mrgp",
     "stationary_derivative",
     "stationary_distribution_sparse",
-    "transient_distribution",
     "transient_distribution_sparse",
     "uniformized_series",
 ]

@@ -1,4 +1,4 @@
-"""Continuous-time Markov chains."""
+"""Continuous-time Markov chains, held as a CSR generator."""
 
 from __future__ import annotations
 
@@ -6,11 +6,22 @@ from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import SolverError
-from repro.markov.linear import check_generator, normalize_distribution, solve_stationary
-from repro.markov.uniformization import transient_distribution
-from repro.obs import span
+from repro.markov.first_passage import mean_time_to_hit
+from repro.markov.linear import normalize_distribution
+from repro.markov.sparse import (
+    check_sparse_generator,
+    stationary_distribution_sparse,
+    transient_distribution_sparse,
+)
+from repro.markov.uniformization import uniformized_series
+
+#: Poisson terms per segment of :meth:`CTMC.accumulated_reward`.
+_SEGMENT_TERMS = 10_000
+#: Total-variation distance to π below which a distribution counts as mixed.
+_MIXED = 1e-10
 
 
 class CTMC:
@@ -20,18 +31,17 @@ class CTMC:
     ----------
     generator:
         The infinitesimal generator ``Q`` (rows sum to zero, non-negative
-        off-diagonal entries).
+        off-diagonal entries), dense or scipy.sparse; it is stored as a
+        ``scipy.sparse.csr_array`` and never densified.
     states:
         Optional state labels (any hashable objects); defaults to indices.
 
-    The class exposes stationary and transient analysis plus reward
-    evaluation; it is the workhorse behind the paper's
-    no-rejuvenation model (Fig. 2a) and the subordinated processes of the
-    MRGP solver.
+    Every analysis runs on the CSR routes of :mod:`repro.markov.sparse`.
     """
 
-    def __init__(self, generator: np.ndarray, states: Sequence[Any] | None = None) -> None:
-        self.generator = check_generator(np.array(generator, dtype=float), what="CTMC")
+    def __init__(self, generator: Any, states: Sequence[Any] | None = None) -> None:
+        matrix = sp.csr_array(generator, dtype=float, copy=True)
+        self.generator = check_sparse_generator(matrix, what="CTMC")
         n = self.generator.shape[0]
         if states is None:
             states = list(range(n))
@@ -49,16 +59,14 @@ class CTMC:
     ) -> "CTMC":
         """Build a CTMC from a sparse ``{(source, target): rate}`` mapping."""
         index = {state: i for i, state in enumerate(states)}
-        n = len(states)
-        generator = np.zeros((n, n))
+        generator = sp.dok_array((len(states), len(states)))
         for (source, target), rate in rates.items():
             if source == target:
                 raise SolverError("self-loop rates are meaningless in a CTMC")
             if rate < 0:
                 raise SolverError(f"negative rate {rate} for {source!r}->{target!r}")
             generator[index[source], index[target]] += rate
-        np.fill_diagonal(generator, 0.0)
-        np.fill_diagonal(generator, -generator.sum(axis=1))
+            generator[index[source], index[source]] -= rate
         return cls(generator, states)
 
     @property
@@ -68,6 +76,14 @@ class CTMC:
     def index_of(self, state: Any) -> int:
         """Position of ``state`` in the generator."""
         return self._index[state]
+
+    def _vector(self, values: Sequence[float] | np.ndarray, *, what: str) -> np.ndarray:
+        vector = np.asarray(values, dtype=float)
+        if vector.shape != (self.n_states,):
+            raise SolverError(
+                f"{what} has shape {vector.shape}, expected ({self.n_states},)"
+            )
+        return vector
 
     # ------------------------------------------------------------------
     # stationary analysis
@@ -79,19 +95,14 @@ class CTMC:
         chains whose stationary distribution is not unique.
         """
         if self._stationary is None:
-            with span("markov.ctmc", states=self.n_states):
-                self._stationary = solve_stationary(
-                    self.generator, what="CTMC stationary"
-                )
+            self._stationary, _ = stationary_distribution_sparse(
+                self.generator, what="CTMC stationary"
+            )
         return self._stationary
 
     def expected_reward(self, rewards: Sequence[float] | np.ndarray) -> float:
         """Stationary expected reward ``sum_i pi_i r_i`` (Eq. 1 of the paper)."""
-        rewards = np.asarray(rewards, dtype=float)
-        if rewards.shape != (self.n_states,):
-            raise SolverError(
-                f"reward vector has shape {rewards.shape}, expected ({self.n_states},)"
-            )
+        rewards = self._vector(rewards, what="reward vector")
         return float(self.stationary_distribution() @ rewards)
 
     # ------------------------------------------------------------------
@@ -102,7 +113,9 @@ class CTMC:
         initial = normalize_distribution(
             np.asarray(initial, dtype=float), what="initial distribution"
         )
-        return transient_distribution(self.generator, initial, time)
+        return transient_distribution_sparse(
+            self.generator, initial, time, what="CTMC transient"
+        )
 
     def transient_reward(
         self,
@@ -120,66 +133,78 @@ class CTMC:
         rewards: Sequence[float] | np.ndarray,
         time: float,
     ) -> float:
-        """Expected reward accumulated over ``[0, time]``.
+        """Expected reward ``initial @ (∫_0^t e^{Qs} ds) @ r`` over ``[0, time]``.
 
-        Computes ``initial @ (∫_0^t e^{Qs} ds) @ r`` with the integral
-        from :func:`~repro.markov.uniformization.expm_and_integral`.  For a 0/1 reward this is the
-        expected total time spent in the rewarded states (interval
-        availability times ``t``).
+        Uniformizes the augmented matrix ``[[Q, r], [0, 0]]``, whose
+        exponential carries the integral in its last column, on
+        :func:`~repro.markov.uniformization.uniformized_series` with CSR
+        products.  Past :data:`_SEGMENT_TERMS` Poisson terms the horizon
+        is walked in segments; once the distribution is within
+        :data:`_MIXED` of π in total variation (a distance no later time
+        exceeds) the rest accrues at the rate ``π r``.
         """
-        from repro.markov.uniformization import expm_and_integral
-
-        rewards = np.asarray(rewards, dtype=float)
-        if rewards.shape != (self.n_states,):
-            raise SolverError(
-                f"reward vector has shape {rewards.shape}, expected "
-                f"({self.n_states},)"
-            )
+        rewards = self._vector(rewards, what="reward vector")
         initial = normalize_distribution(
-            np.asarray(initial, dtype=float), what="initial distribution"
+            self._vector(initial, what="initial distribution"),
+            what="initial distribution",
         )
-        _, integral = expm_and_integral(self.generator, time)
-        return float(initial @ integral @ rewards)
+        if not 0 <= time < np.inf:
+            raise SolverError(f"time must be finite and >= 0, got {time}")
+        n = self.n_states
+        rate = max(float(-self.generator.diagonal().min()), 1e-300)
+        augmented = sp.block_array(
+            [[self.generator, rewards.reshape(n, 1)], [None, np.zeros((1, 1))]],
+            format="csr",
+        )
+        step = sp.csr_array((sp.eye_array(n + 1, format="csr") + augmented / rate).T)
+        stationary = None
+        if rate * time > _SEGMENT_TERMS:
+            try:
+                stationary = self.stationary_distribution()
+            except SolverError:  # no unique π: walk the whole horizon
+                pass
+        state = np.append(initial, 0.0)
+        elapsed = 0.0
+        while elapsed < time:
+            segment = min(_SEGMENT_TERMS / rate, time - elapsed)
+            state = uniformized_series(
+                lambda vector: step @ vector, state, poisson_mean=rate * segment
+            )
+            elapsed += segment
+            if stationary is None:
+                continue
+            if np.abs(state[:n] - stationary).sum() <= _MIXED:
+                return float(state[n] + (time - elapsed) * (stationary @ rewards))
+        return float(state[n])
 
     # ------------------------------------------------------------------
     # absorption analysis
     # ------------------------------------------------------------------
     def absorbing_states(self) -> list[Any]:
         """States with zero exit rate."""
-        return [
-            self.states[i]
-            for i in range(self.n_states)
-            if np.all(np.abs(self.generator[i]) < 1e-15)
-        ]
+        largest = abs(self.generator).max(axis=1).toarray()
+        return [self.states[i] for i in np.flatnonzero(largest < 1e-15)]
 
     def mean_time_to_absorption(
         self, initial: Sequence[float] | np.ndarray
     ) -> float:
         """Expected time until any absorbing state is reached.
 
+        Computed by :func:`~repro.markov.first_passage.mean_time_to_hit`
+        with the absorbing states as the target set.
+
         Raises
         ------
         SolverError
             If the chain has no absorbing state, or absorption is not
-            certain from ``initial``.
+            certain from some non-absorbing state.
         """
-        absorbing = {self._index[s] for s in self.absorbing_states()}
+        absorbing = self.absorbing_states()
         if not absorbing:
             raise SolverError("chain has no absorbing state")
-        transient_states = [i for i in range(self.n_states) if i not in absorbing]
-        if not transient_states:
+        if len(absorbing) == self.n_states:
             return 0.0
-        sub = self.generator[np.ix_(transient_states, transient_states)]
-        initial = np.asarray(initial, dtype=float)
-        start = initial[transient_states]
-        try:
-            # E[T] = -start @ sub^{-1} @ 1
-            times = np.linalg.solve(sub.T, -start)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                "absorption is not certain (transient sub-generator singular)"
-            ) from exc
-        return float(times.sum())
+        return mean_time_to_hit(self, absorbing, initial)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CTMC(n_states={self.n_states})"

@@ -1,7 +1,7 @@
 """Stationary solves and validation helpers for Markov chains.
 
-Every stationary distribution in the package — the dense CTMC route,
-the sparse route, the MRGP embedded chain and the sensitivity system —
+Every stationary distribution in the package — the CTMC route on its
+CSR generator, the MRGP embedded chain and the sensitivity system —
 comes out of one anchored formulation, :func:`stationary_solve`:
 
 1. **Recurrent class.** :func:`recurrent_states` finds the unique
@@ -561,7 +561,7 @@ def solve_stationary_stochastic(matrix: np.ndarray, *, what: str) -> np.ndarray:
     return solve_stationary(generator, what=what)
 
 
-def solve_anchored(generator: np.ndarray, rhs: np.ndarray, anchor: int) -> np.ndarray:
+def solve_anchored(generator: Any, rhs: np.ndarray, anchor: int) -> np.ndarray:
     """A solution of ``x Q = rhs`` with ``x[anchor] = 1``, by one anchored LU.
 
     ``Q`` must have a unique recurrent class containing ``anchor`` and
@@ -577,24 +577,6 @@ def solve_anchored(generator: np.ndarray, rhs: np.ndarray, anchor: int) -> np.nd
     if factorization == "ilu-gmres":
         factorization = "superlu"
     return _direct_solver(q, order, factorization)(anchor, rhs)
-
-
-def check_generator(matrix: np.ndarray, *, what: str) -> np.ndarray:
-    """Validate a CTMC generator: non-negative off-diagonal, zero row sums."""
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise SolverError(f"{what}: generator must be square, got {matrix.shape}")
-    off_diagonal = matrix - np.diag(np.diag(matrix))
-    if np.any(off_diagonal < -1e-12):
-        raise SolverError(f"{what}: generator has negative off-diagonal entries")
-    row_sums = np.abs(matrix.sum(axis=1))
-    scale = max(1.0, np.abs(matrix).max())
-    if np.any(row_sums > 1e-9 * scale):
-        raise SolverError(
-            f"{what}: generator rows do not sum to zero (max |sum| = {row_sums.max():.3e})"
-        )
-    return matrix
 
 
 def check_stochastic(matrix: np.ndarray, *, what: str, substochastic: bool = False) -> np.ndarray:

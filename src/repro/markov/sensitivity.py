@@ -18,14 +18,17 @@ exactly where the finite-difference elasticities of
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import SolverError
 from repro.markov.ctmc import CTMC
 from repro.markov.linear import solve_anchored
 
 
-def stationary_derivative(chain: CTMC, generator_derivative: np.ndarray) -> np.ndarray:
+def stationary_derivative(chain: CTMC, generator_derivative: Any) -> np.ndarray:
     """The derivative ``dπ/dθ`` given ``dQ/dθ``.
 
     Parameters
@@ -35,8 +38,9 @@ def stationary_derivative(chain: CTMC, generator_derivative: np.ndarray) -> np.n
         distribution is computed or reused from cache).
     generator_derivative:
         ``dQ/dθ``, the element-wise derivative of the generator with
-        respect to the parameter.  Rows must sum to zero (a perturbed
-        generator is still a generator).
+        respect to the parameter, dense or scipy.sparse (held as CSR).
+        Rows must sum to zero (a perturbed generator is still a
+        generator).
 
     Raises
     ------
@@ -46,13 +50,13 @@ def stationary_derivative(chain: CTMC, generator_derivative: np.ndarray) -> np.n
         distribution, so the sensitivity system is singular).
     """
     n = chain.n_states
-    derivative = np.asarray(generator_derivative, dtype=float)
+    derivative = sp.csr_array(generator_derivative, dtype=float)
     if derivative.shape != (n, n):
         raise SolverError(
             f"dQ/dtheta has shape {derivative.shape}, expected {(n, n)}"
         )
     row_sums = np.abs(derivative.sum(axis=1))
-    scale = max(1.0, np.abs(derivative).max())
+    scale = max(1.0, np.abs(derivative.data).max(initial=0.0))
     if np.any(row_sums > 1e-9 * scale):
         raise SolverError("dQ/dtheta rows must sum to zero")
 
@@ -67,7 +71,7 @@ def stationary_derivative(chain: CTMC, generator_derivative: np.ndarray) -> np.n
         float(np.abs(solution @ chain.generator - rhs).max()),
         abs(float(solution.sum())),
     )
-    if not residual <= 1e-8 * max(1.0, np.abs(chain.generator).max()):
+    if not residual <= 1e-8 * max(1.0, np.abs(chain.generator.data).max(initial=0.0)):
         raise SolverError(f"sensitivity solve residual too large ({residual:.3e})")
     return solution
 
@@ -75,7 +79,7 @@ def stationary_derivative(chain: CTMC, generator_derivative: np.ndarray) -> np.n
 def reward_derivative(
     chain: CTMC,
     rewards: np.ndarray,
-    generator_derivative: np.ndarray,
+    generator_derivative: Any,
 ) -> float:
     """``d(π r)/dθ`` for a state reward vector ``r``."""
     rewards = np.asarray(rewards, dtype=float)
@@ -89,7 +93,7 @@ def reward_derivative(
 def rate_elasticity(
     chain: CTMC,
     rewards: np.ndarray,
-    generator_derivative: np.ndarray,
+    generator_derivative: Any,
     rate: float,
 ) -> float:
     """Normalized sensitivity ``(θ / E[R]) · dE[R]/dθ`` of a rate θ."""

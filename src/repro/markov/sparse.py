@@ -6,14 +6,14 @@ The generator stays in CSR form end-to-end:
   anchored formulation of :func:`repro.markov.linear.stationary_solve`
   (recurrent class, one pinned anchor state, one factorization chosen
   by structural fill: LAPACK, SuperLU or ILU-preconditioned GMRES, with
-  a power-iteration fallback).  A dense :class:`~repro.markov.ctmc.CTMC`
-  runs the same solve, so both decide uniqueness with one structural
-  check and raise the same :class:`~repro.errors.SolverError` text on
+  a power-iteration fallback).  :class:`~repro.markov.ctmc.CTMC` and
+  the net solver both call it, so uniqueness is decided by one
+  structural check with one :class:`~repro.errors.SolverError` text on
   reducible chains.
 * :func:`transient_distribution_sparse` — Jensen's uniformization with a
-  CSR matrix-vector product, sharing the Poisson-series truncation with
-  :meth:`CTMC.transient <repro.markov.ctmc.CTMC.transient>`
-  (:func:`repro.markov.uniformization.uniformized_series`).
+  CSR matrix-vector product on the Poisson series of
+  :func:`repro.markov.uniformization.uniformized_series`; it backs
+  :meth:`CTMC.transient <repro.markov.ctmc.CTMC.transient>`.
 
 Acceptance is the anchored solve's bar: a solution is returned only if
 ‖πQ‖∞ / Σπ ≤ 1e-8·max(1, |Q|ₘₐₓ).
@@ -52,8 +52,8 @@ __all__ = [
 def check_sparse_generator(matrix: Any, *, what: str) -> sp.csr_array:
     """Validate a CSR generator: non-negative off-diagonal, zero row sums.
 
-    The sparse twin of :func:`repro.markov.linear.check_generator` —
-    same tolerances, same error texts, never densifies.
+    Off-diagonal entries may dip to ``-1e-12`` and row sums to
+    ``1e-9 × max(1, |Q|max)``; never densifies.
     """
     if not sp.issparse(matrix):
         raise SolverError(f"{what}: expected a scipy.sparse matrix, got {type(matrix).__name__}")
@@ -132,11 +132,11 @@ def transient_distribution_sparse(
 ) -> np.ndarray:
     """Distribution at ``time`` via uniformization with CSR products.
 
-    The Poisson-series truncation is shared verbatim with the dense
-    :meth:`CTMC.transient <repro.markov.ctmc.CTMC.transient>`
-    (:func:`repro.markov.uniformization.uniformized_series`); only the
-    matrix-vector product differs, so the two agree to the series
-    tolerance.
+    Computes ``initial @ expm(Q t)`` without forming the exponential:
+    with ``L = max |Q_ii|`` and ``P = I + Q / L``,
+    ``π(t) = Σ_k Poisson(k; L t) · initial @ P^k``, truncated by
+    :func:`repro.markov.uniformization.uniformized_series` once the
+    Poisson tail falls below ``tolerance``.
     """
     generator = check_sparse_generator(generator, what=what)
     if time < 0:
@@ -146,10 +146,12 @@ def transient_distribution_sparse(
         return initial.copy()
     n = generator.shape[0]
     rate = max(float(-generator.diagonal().min()), 1e-300)
-    step = sp.csr_array(sp.identity(n, format="csr") + generator / rate)
+    # the transposed step as CSR: ``v @ P`` as ``Pᵀ v`` without
+    # re-transposing ``P`` on every term
+    step = sp.csr_array((sp.identity(n, format="csr") + generator / rate).T)
     with span("markov.sparse_transient", size=n):
         return uniformized_series(
-            lambda vector: vector @ step,
+            lambda vector: step @ vector,
             initial,
             poisson_mean=rate * time,
             tolerance=tolerance,

@@ -1,12 +1,11 @@
 """Transient analysis helpers: uniformization and matrix-exponential integrals.
 
-The Poisson-weighted series at the heart of Jensen's method is shared
-between the dense path (:func:`transient_distribution`) and the sparse
-path (:func:`repro.markov.sparse.transient_distribution_sparse`):
-:func:`uniformized_series` is parameterized over the one operation the
-two differ in — applying the uniformized step matrix to a vector — so
-both routes truncate, bound and normalize identically and the
-dense-vs-sparse differential tests pin a single algorithm, not two.
+:func:`uniformized_series` is Jensen's Poisson-weighted series, over a
+caller-supplied step; the CSR transient
+(:func:`repro.markov.sparse.transient_distribution_sparse`) and
+:meth:`CTMC.accumulated_reward <repro.markov.ctmc.CTMC.accumulated_reward>`
+run on it.  :func:`expm_and_integral` is the dense pair the MRGP
+kernels need on their small subordinated generators.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.errors import SolverError
-from repro.markov.linear import check_generator
 
 
 def uniformized_series(
@@ -38,8 +36,8 @@ def uniformized_series(
     so probability vectors stay normalized despite truncation.
 
     ``apply_step`` is one application of the uniformized step matrix
-    ``P = I + Q/L`` — a dense ``v @ P`` or a sparse CSR product; the
-    series itself neither knows nor cares.
+    ``P = I + Q/L``, in practice a CSR product ``v @ P``; the series
+    itself neither knows nor cares.
     """
     if poisson_mean < 0:
         raise SolverError(f"poisson mean must be >= 0, got {poisson_mean}")
@@ -74,43 +72,6 @@ def uniformized_series(
     if accumulated > 0.0:
         result /= accumulated
     return result
-
-
-def transient_distribution(
-    generator: np.ndarray,
-    initial: np.ndarray,
-    time: float,
-    *,
-    tolerance: float = 1e-12,
-    max_terms: int = 1_000_000,
-) -> np.ndarray:
-    """Distribution at ``time`` via uniformization (Jensen's method).
-
-    Computes ``initial @ expm(Q t)`` without forming the matrix
-    exponential: with uniformization rate ``L >= max |Q_ii|`` and
-    ``P = I + Q / L``,
-
-        pi(t) = sum_k  Poisson(k; L t) · initial @ P^k
-
-    truncated once the Poisson tail falls below ``tolerance``.
-    """
-    generator = check_generator(generator, what="transient generator")
-    if time < 0:
-        raise SolverError(f"time must be >= 0, got {time}")
-    initial = np.asarray(initial, dtype=float)
-    if time == 0.0:
-        return initial.copy()
-
-    rate = max(-generator.diagonal().min(), 1e-300)
-    probability_matrix = np.eye(generator.shape[0]) + generator / rate
-
-    return uniformized_series(
-        lambda vector: vector @ probability_matrix,
-        initial,
-        poisson_mean=rate * time,
-        tolerance=tolerance,
-        max_terms=max_terms,
-    )
 
 
 #: Taylor coefficients 1/(k+1)! of φ₁(Y) = Σ_k Y^k / (k+1)!, k = 0..16.

@@ -11,10 +11,10 @@ already uses:
 
 * **prior dynamics** — the compromise rate λc and failure rate λ of
   :class:`~repro.perception.parameters.PerceptionParameters`, i.e. the
-  same rates fed to :func:`repro.dspn.ctmc_builder.build_ctmc` through
-  the DSPN transitions Tc/Tf.  Between observations the belief drifts
-  towards "compromised" at the hazard of Tc, discounted by Tf's exit to
-  the observable FAILED state;
+  same rates the DSPN transitions Tc/Tf put into the CSR generator of
+  :func:`repro.dspn.sparse_builder.sparse_generator`.  Between
+  observations the belief drifts towards "compromised" at the hazard of
+  Tc, discounted by Tf's exit to the observable FAILED state;
 * **likelihood** — the per-round deviation flags produced by
   :mod:`repro.monitor.signals`.  A deviation is ~``p'`` likely for a
   compromised module and ~``p_dev_healthy`` for a healthy one, so each

@@ -22,6 +22,8 @@ import numpy as np
 
 from repro.dspn.ctmc_builder import build_ctmc, generator_derivative
 from repro.dspn.rewards import reward_vector
+from repro.dspn.steady_state import tangible_graph
+from repro.engine.cache import active_cache
 from repro.errors import UnsupportedModelError
 from repro.markov.first_passage import hitting_probability_by, mean_time_to_hit
 from repro.markov.sensitivity import rate_elasticity
@@ -30,7 +32,7 @@ from repro.perception.evaluation import default_reliability_function
 from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
 from repro.perception.statemap import module_counts
-from repro.statespace import TangibleGraph, tangible_reachability
+from repro.statespace import TangibleGraph
 
 # rate parameter -> the DSPN transition carrying it
 _RATE_TRANSITIONS = {"mttc": "Tc", "mttf": "Tf", "mttr": "Tr"}
@@ -42,8 +44,29 @@ def _clockless_ctmc(parameters: PerceptionParameters):
             "time-domain metrics are analytic for clockless systems only; "
             "simulate the rejuvenating system instead"
         )
-    graph = tangible_reachability(build_no_rejuvenation_net(parameters))
+    cache = active_cache()
+    graph, _ = tangible_graph(
+        build_no_rejuvenation_net(parameters),
+        max_states=200_000,
+        structures=None if cache is None else cache.structures,
+    )
     return graph, build_ctmc(graph)
+
+
+def _reliability_rewards(
+    graph: TangibleGraph,
+    parameters: PerceptionParameters,
+    reliability: ReliabilityFunction | None,
+) -> np.ndarray:
+    """Eq. 1's reward: each marking's ``R(healthy, compromised, unavailable)``."""
+    if reliability is None:
+        reliability = default_reliability_function(parameters)
+
+    def reward(marking):
+        counts = module_counts(marking)
+        return reliability(counts.healthy, counts.compromised, counts.unavailable)
+
+    return reward_vector(graph.markings, reward)
 
 
 def _quorum_lost_states(graph: TangibleGraph, parameters: PerceptionParameters):
@@ -102,14 +125,7 @@ def expected_misperceptions(
     if request_rate <= 0:
         raise UnsupportedModelError(f"request_rate must be > 0, got {request_rate}")
     graph, chain = _clockless_ctmc(parameters)
-    if reliability is None:
-        reliability = default_reliability_function(parameters)
-
-    def reward(marking):
-        counts = module_counts(marking)
-        return reliability(counts.healthy, counts.compromised, counts.unavailable)
-
-    rewards = reward_vector(graph.markings, reward)
+    rewards = _reliability_rewards(graph, parameters, reliability)
     initial = np.asarray(graph.initial_distribution, dtype=float)
     accumulated_reliability = chain.accumulated_reward(initial, rewards, mission_time)
     return request_rate * (mission_time - accumulated_reliability)
@@ -128,14 +144,7 @@ def exact_rate_elasticities(
     elasticity w.r.t. its rate).
     """
     graph, chain = _clockless_ctmc(parameters)
-    if reliability is None:
-        reliability = default_reliability_function(parameters)
-
-    def reward(marking):
-        counts = module_counts(marking)
-        return reliability(counts.healthy, counts.compromised, counts.unavailable)
-
-    rewards = reward_vector(graph.markings, reward)
+    rewards = _reliability_rewards(graph, parameters, reliability)
     rates = {
         "mttc": parameters.lambda_c,
         "mttf": parameters.lambda_f,

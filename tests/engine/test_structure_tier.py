@@ -249,6 +249,31 @@ class TestBitIdentity:
         assert hit.rewards == cold.rewards
         np.testing.assert_array_equal(hit.distributions, cold.distributions)
 
+    def test_time_domain_metrics_hit_equals_cold(self):
+        from repro.perception.metrics import (
+            exact_rate_elasticities,
+            mean_time_to_quorum_loss,
+            quorum_loss_probability,
+        )
+
+        def metrics(parameters):
+            return (
+                mean_time_to_quorum_loss(parameters),
+                quorum_loss_probability(parameters, 7200.0),
+                exact_rate_elasticities(parameters),
+            )
+
+        base = PerceptionParameters.four_version_defaults()
+        with cache_override(enabled=True, directory=None) as cache:
+            metrics(base)
+            misses = cache.structures.misses
+            hit = metrics(base.replace(mttc=900.0))
+            assert cache.structures.misses == misses
+            assert cache.structures.hits >= 3
+        with cache_override(enabled=False):
+            cold = metrics(base.replace(mttc=900.0))
+        assert hit == cold
+
 
 def _solve_measures(net, **options):
     with tracing() as tracer:

@@ -40,6 +40,31 @@ class TestConstruction:
         chain = birth_death()
         assert chain.index_of("one") == 1
 
+    def test_generator_held_as_csr(self):
+        import scipy.sparse as sp
+
+        dense = birth_death()
+        assert isinstance(dense.generator, sp.csr_array)
+        sparse = CTMC(sp.csr_array(dense.generator.toarray()))
+        assert isinstance(sparse.generator, sp.csr_array)
+        np.testing.assert_array_equal(
+            sparse.generator.toarray(), dense.generator.toarray()
+        )
+
+    def test_from_rates_matches_dense(self):
+        chain = CTMC.from_rates(
+            ["empty", "one", "two"],
+            {("empty", "one"): 1.0, ("one", "empty"): 2.0,
+             ("one", "two"): 1.0, ("two", "one"): 2.0},
+        )
+        np.testing.assert_array_equal(
+            chain.generator.toarray(), birth_death().generator.toarray()
+        )
+
+    def test_invalid_generator_rejected(self):
+        with pytest.raises(SolverError, match="sum to zero"):
+            CTMC(np.array([[-1.0, 2.0], [0.0, 0.0]]))
+
 
 class TestStationary:
     def test_detailed_balance(self):
@@ -81,7 +106,7 @@ class TestTransient:
 
         chain = birth_death()
         t = 0.7
-        expected = np.array([0.0, 1.0, 0.0]) @ expm(chain.generator * t)
+        expected = np.array([0.0, 1.0, 0.0]) @ expm(chain.generator.toarray() * t)
         assert np.allclose(chain.transient([0.0, 1.0, 0.0], t), expected, atol=1e-10)
 
     def test_transient_reward(self):

@@ -1,8 +1,12 @@
 """Tests for CTMC first-passage analysis."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from repro.dspn.ctmc_builder import build_ctmc
 from repro.errors import SolverError
 from repro.markov.ctmc import CTMC
 from repro.markov.first_passage import (
@@ -11,6 +15,11 @@ from repro.markov.first_passage import (
     mean_time_to_hit,
     mean_time_to_predicate,
 )
+from repro.perception.metrics import mean_time_to_quorum_loss
+from repro.perception.no_rejuvenation import build_no_rejuvenation_net
+from repro.perception.parameters import PerceptionParameters
+from repro.perception.statemap import module_counts
+from repro.statespace import tangible_reachability
 
 
 def chain_line():
@@ -63,6 +72,15 @@ class TestMeanHittingTimes:
         with pytest.raises(SolverError):
             mean_hitting_times(chain, ["island"])
 
+    def test_overflowing_time_raises(self):
+        """Two 1e-308 rates in series: the time is 2e308, past float range."""
+        chain = CTMC.from_rates(
+            ["a", "b", "t"],
+            {("a", "b"): 1e-308, ("b", "t"): 1e-308, ("t", "a"): 1.0},
+        )
+        with pytest.raises(SolverError, match="overflow"):
+            mean_hitting_times(chain, ["t"])
+
 
 class TestMeanTimeToHit:
     def test_weights_initial_distribution(self):
@@ -109,6 +127,82 @@ class TestHittingProbability:
             value = hitting_probability_by(chain, ["t"], [1.0, 0.0], t)
             assert np.isclose(value, 1 - np.exp(-t), atol=1e-9)
 
+    def test_generator_left_untouched(self):
+        chain = chain_line()
+        before = chain.generator.copy()
+        hitting_probability_by(chain, ["c"], [1.0, 0.0, 0.0], 2.0)
+        assert (chain.generator != before).nnz == 0
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(SolverError):
             hitting_probability_by(chain_line(), ["c"], [1.0, 0.0, 0.0], -1.0)
+
+
+def _exact_mean_time_to_hit(chain, targets, initial):
+    """``initial · m`` with ``m`` solved in exact rational arithmetic.
+
+    The off-diagonal float rates are taken exactly as ``Fraction``s and
+    each diagonal is rebuilt exactly as minus their row sum, so the only
+    rounding left is the final conversion to float.
+    """
+    target_set = {chain.index_of(state) for state in targets}
+    transient = [i for i in range(chain.n_states) if i not in target_set]
+    position = {state: k for k, state in enumerate(transient)}
+    coo = sp.coo_array(chain.generator)
+    rows = [dict() for _ in transient]  # sparse rows of D - A, plus rhs at -1
+    for i, j, rate in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+        if i == j or i in target_set:
+            continue
+        row = rows[position[i]]
+        rate = Fraction(rate)
+        row[position[i]] = row.get(position[i], Fraction(0)) + rate
+        if j not in target_set:
+            row[position[j]] = row.get(position[j], Fraction(0)) - rate
+    for row in rows:
+        row[-1] = Fraction(1)
+    n = len(transient)
+    for k in range(n):  # Gaussian elimination, no pivoting needed (M-matrix)
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            factor = rows[i].get(k)
+            if not factor:
+                continue
+            factor /= pivot
+            for j, value in pivot_row.items():
+                if j == k:
+                    continue
+                rows[i][j] = rows[i].get(j, Fraction(0)) - factor * value
+            del rows[i][k]
+    times = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        row = rows[k]
+        total = row[-1] - sum(
+            (value * times[j] for j, value in row.items() if j > k), Fraction(0)
+        )
+        times[k] = total / row[k]
+    start = [Fraction(float(initial[state])) for state in transient]
+    return float(sum((p * t for p, t in zip(start, times)), Fraction(0)))
+
+
+@pytest.mark.parametrize("n_modules, f", [(4, 1), (6, 1), (10, 3), (16, 5), (20, 6)])
+def test_quorum_loss_matches_exact_rational(n_modules, f):
+    """Mean time to quorum loss agrees with an exact rational solve to 1e-12.
+
+    The transient block is ill-conditioned (about 1e17 at N=20), so any
+    LU of ``Q_TT`` misses here; the state reduction must not.
+    """
+    parameters = PerceptionParameters(n_modules=n_modules, f=f, rejuvenation=False)
+    graph = tangible_reachability(build_no_rejuvenation_net(parameters))
+    threshold = parameters.voting_scheme.threshold
+    targets = [
+        index
+        for index, marking in enumerate(graph.markings)
+        if module_counts(marking).operational < threshold
+    ]
+    exact = _exact_mean_time_to_hit(
+        build_ctmc(graph), targets, graph.initial_distribution
+    )
+    value = mean_time_to_quorum_loss(parameters)
+    assert np.isfinite(value) and value > 0
+    assert abs(value - exact) <= 1e-12 * exact

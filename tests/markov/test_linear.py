@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from repro.errors import SolverError
 from repro.markov import linear
 from repro.markov.linear import (
-    check_generator,
     check_stochastic,
     choose_factorization,
     fill_estimate,
@@ -16,6 +15,7 @@ from repro.markov.linear import (
     solve_stationary_stochastic,
     stationary_solve,
 )
+from repro.markov.sparse import check_sparse_generator
 
 
 def birth_death(n, up, down, *, first_up=None):
@@ -151,16 +151,18 @@ class TestFactorization:
 
 
 class TestCheckGenerator:
+    """The generator check every CTMC runs (on its CSR form)."""
+
     def test_accepts_valid(self):
-        check_generator(np.array([[-1.0, 1.0], [2.0, -2.0]]), what="q")
+        check_sparse_generator(sp.csr_array([[-1.0, 1.0], [2.0, -2.0]]), what="q")
 
     def test_rejects_negative_offdiagonal(self):
         with pytest.raises(SolverError, match="off-diagonal"):
-            check_generator(np.array([[0.5, -0.5], [0.0, 0.0]]), what="q")
+            check_sparse_generator(sp.csr_array([[0.5, -0.5], [0.0, 0.0]]), what="q")
 
     def test_rejects_nonzero_rowsums(self):
         with pytest.raises(SolverError, match="sum to zero"):
-            check_generator(np.array([[-1.0, 2.0], [0.0, 0.0]]), what="q")
+            check_sparse_generator(sp.csr_array([[-1.0, 2.0], [0.0, 0.0]]), what="q")
 
 
 class TestCheckStochastic:

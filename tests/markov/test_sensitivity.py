@@ -43,6 +43,13 @@ class TestStationaryDerivative:
         numeric = (pi_plus - pi_minus) / (2 * h)
         assert np.allclose(exact, numeric, atol=1e-6)
 
+    def test_csr_derivative_matches_dense(self):
+        import scipy.sparse as sp
+
+        dense = stationary_derivative(two_state(), D_FAIL)
+        sparse = stationary_derivative(two_state(), sp.csr_array(D_FAIL))
+        np.testing.assert_array_equal(dense, sparse)
+
     def test_shape_checked(self):
         with pytest.raises(SolverError):
             stationary_derivative(two_state(), np.zeros((3, 3)))

@@ -3,13 +3,20 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from scipy.linalg import expm
 
 from repro.errors import SolverError
-from repro.markov.uniformization import expm_and_integral, transient_distribution
+from repro.markov.sparse import transient_distribution_sparse
+from repro.markov.uniformization import expm_and_integral
 
 GENERATOR = np.array([[-1.0, 1.0], [4.0, -4.0]])
+
+
+def csr_transient(generator, initial, time):
+    """The CSR transient route on a dense test generator."""
+    return transient_distribution_sparse(sp.csr_array(generator), initial, time)
 
 
 class TestTransientDistribution:
@@ -17,29 +24,29 @@ class TestTransientDistribution:
         initial = np.array([1.0, 0.0])
         for t in (0.1, 1.0, 10.0):
             expected = initial @ expm(GENERATOR * t)
-            result = transient_distribution(GENERATOR, initial, t)
+            result = csr_transient(GENERATOR, initial, t)
             assert np.allclose(result, expected, atol=1e-10)
 
     def test_mass_conserved(self):
-        result = transient_distribution(GENERATOR, np.array([0.5, 0.5]), 3.0)
+        result = csr_transient(GENERATOR, np.array([0.5, 0.5]), 3.0)
         assert np.isclose(result.sum(), 1.0, atol=1e-10)
 
     def test_zero_time(self):
         initial = np.array([0.3, 0.7])
-        assert np.allclose(transient_distribution(GENERATOR, initial, 0.0), initial)
+        assert np.allclose(csr_transient(GENERATOR, initial, 0.0), initial)
 
     def test_large_lt_stable(self):
         # L*t = 4 * 5000 = 20000: log-space Poisson weights must survive
-        result = transient_distribution(GENERATOR, np.array([1.0, 0.0]), 5000.0)
+        result = csr_transient(GENERATOR, np.array([1.0, 0.0]), 5000.0)
         assert np.allclose(result, [0.8, 0.2], atol=1e-6)
 
     def test_negative_time_rejected(self):
         with pytest.raises(SolverError):
-            transient_distribution(GENERATOR, np.array([1.0, 0.0]), -1.0)
+            csr_transient(GENERATOR, np.array([1.0, 0.0]), -1.0)
 
     def test_invalid_generator_rejected(self):
         with pytest.raises(SolverError):
-            transient_distribution(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), 1.0)
+            csr_transient(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), 1.0)
 
 
 class TestExpmAndIntegral:

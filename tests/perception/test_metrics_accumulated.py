@@ -28,6 +28,24 @@ class TestAccumulatedReward:
         exact = chain.accumulated_reward([1.0, 0.0], rewards, t)
         assert np.isclose(exact, quad, rtol=1e-5)
 
+    @pytest.mark.parametrize("t", [0.01, 0.5, 3.0, 1.0e6])
+    def test_matches_closed_form(self, t):
+        """From ``down``, π_up(t) = 0.8 (1 − e^{−5t}): the time spent up is
+        0.8 t − 0.16 (1 − e^{−5t}).  At t = 1e6 (4e6 Poisson terms) the
+        walk must stop once mixed and still hold 1e-11."""
+        chain = CTMC(np.array([[-1.0, 1.0], [4.0, -4.0]]))
+        value = chain.accumulated_reward([0.0, 1.0], [1.0, 0.0], t)
+        exact = 0.8 * t - 0.16 * (1.0 - np.exp(-5.0 * t))
+        assert value == pytest.approx(exact, rel=1e-11)
+
+    @pytest.mark.parametrize("t", [-1.0, float("inf"), float("nan")])
+    def test_bad_horizon_rejected(self, t):
+        from repro.errors import SolverError
+
+        chain = CTMC(np.array([[-1.0, 1.0], [4.0, -4.0]]))
+        with pytest.raises(SolverError, match="finite and >= 0"):
+            chain.accumulated_reward([1.0, 0.0], [1.0, 0.0], t)
+
     def test_long_horizon_approaches_stationary_rate(self):
         chain = CTMC(np.array([[-1.0, 1.0], [4.0, -4.0]]))
         rewards = np.array([1.0, 0.0])

@@ -149,6 +149,20 @@ class TestMetrics:
         assert main(["metrics", "--six"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mission", "-5", "--mission must be finite and >= 0, got -5"),
+            ("--mission", "inf", "--mission must be finite and >= 0, got inf"),
+            ("--request-rate", "0", "--request-rate must be finite and > 0, got 0"),
+        ],
+    )
+    def test_bad_input_rejected_before_any_output(self, capsys, flag, value, message):
+        assert main(["metrics", "--four", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestMonitor:
     def test_policy_comparison_table(self, capsys):
