@@ -12,9 +12,16 @@ layer to that contract by timing the solver pipeline twice —
   approximating an uninstrumented build;
 
 — and asserting the disabled path stays within ``BUDGET_PCT`` of the
-stubbed baseline (best-of-``ROUNDS``, rounds interleaved so drift hits
-both sides equally).  A microbenchmark of the bare no-op ``span()``
-call is recorded alongside for context.
+stubbed baseline.  One pass takes 10-30 ms, too short to resolve 5 % on
+a shared machine, so each of the ``ROUNDS`` rounds runs a fixed number
+of passes per mode, calibrated once so that a mode's sample lasts at
+least ``MIN_SAMPLE_S``.  Within a round the modes alternate pass by
+pass, and the overhead is the median over all passes of the paired
+ratio disabled / stubbed: a burst of load from elsewhere slows one pair
+and moves the median by one rank, where it moved a best-of-``ROUNDS``
+sample mean by tens of percent.  The best-of-``ROUNDS`` per-pass times
+of both modes and a microbenchmark of the bare no-op ``span()`` call
+are recorded alongside for context.
 
 Runnable two ways::
 
@@ -27,6 +34,8 @@ from __future__ import annotations
 import contextlib
 import importlib
 import json
+import math
+import statistics
 from pathlib import Path
 
 from repro.dspn import solve_steady_state
@@ -38,8 +47,11 @@ from repro.perception.rejuvenation import build_rejuvenation_net
 
 RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
-#: Repetitions per mode; best (minimum) time per mode is compared.
+#: Rounds of paired passes; the ratio is the median over all of them.
 ROUNDS = 5
+
+#: Shortest timed sample, in seconds; sets the passes per sample.
+MIN_SAMPLE_S = 0.2
 
 #: Maximum tolerated slowdown of disabled-tracing over the stubbed
 #: baseline, in percent.
@@ -125,6 +137,22 @@ def _workload(ctmc_net, mrgp_net) -> None:
         solve_steady_state(mrgp_net)
 
 
+def _timed_pass(ctmc_net, mrgp_net) -> float:
+    start = now()
+    _workload(ctmc_net, mrgp_net)
+    return now() - start
+
+
+def _round(passes: int, ctmc_net, mrgp_net) -> list[tuple[float, float]]:
+    """``passes`` pairs of pass times ``(disabled, stubbed)``, in seconds."""
+    pairs = []
+    for _ in range(passes):
+        disabled = _timed_pass(ctmc_net, mrgp_net)
+        with stubbed_instrumentation():
+            pairs.append((disabled, _timed_pass(ctmc_net, mrgp_net)))
+    return pairs
+
+
 def _noop_span_cost(samples: int = 200_000) -> float:
     """Seconds per ``span()`` call with tracing disabled."""
     start = now()
@@ -134,7 +162,7 @@ def _noop_span_cost(samples: int = 200_000) -> float:
 
 
 def measure() -> dict:
-    """Best-of-ROUNDS disabled vs stubbed; assert data, not verdicts."""
+    """Paired disabled vs stubbed pass times; assert data, not verdicts."""
     ctmc_net = build_no_rejuvenation_net(
         PerceptionParameters(n_modules=8, f=1, rejuvenation=False)
     )
@@ -146,27 +174,26 @@ def measure() -> dict:
     _workload(ctmc_net, mrgp_net)
     with stubbed_instrumentation():
         _workload(ctmc_net, mrgp_net)
+    fastest = min(_timed_pass(ctmc_net, mrgp_net) for _ in range(3))
+    passes = max(1, math.ceil(MIN_SAMPLE_S / fastest))
 
-    disabled: list[float] = []
-    stubbed: list[float] = []
-    for _ in range(ROUNDS):
-        start = now()
-        _workload(ctmc_net, mrgp_net)
-        disabled.append(now() - start)
+    rounds = [_round(passes, ctmc_net, mrgp_net) for _ in range(ROUNDS)]
 
-        with stubbed_instrumentation():
-            start = now()
-            _workload(ctmc_net, mrgp_net)
-            stubbed.append(now() - start)
-
-    disabled_s = min(disabled)
-    stubbed_s = min(stubbed)
-    overhead_pct = (disabled_s / stubbed_s - 1.0) * 100.0
+    disabled_s, stubbed_s = (
+        min(statistics.fmean(pair[mode] for pair in pairs) for pairs in rounds)
+        for mode in (0, 1)
+    )
+    ratio = statistics.median(d / s for pairs in rounds for d, s in pairs)
+    overhead_pct = (ratio - 1.0) * 100.0
 
     return {
         "manifest": collect_manifest(
             experiment="bench_obs_overhead",
-            parameters={"rounds": ROUNDS, "budget_pct": BUDGET_PCT},
+            parameters={
+                "rounds": ROUNDS,
+                "passes_per_sample": passes,
+                "budget_pct": BUDGET_PCT,
+            },
         ).as_dict(),
         "disabled_s": disabled_s,
         "stubbed_baseline_s": stubbed_s,

@@ -35,8 +35,8 @@ from collections import defaultdict
 import numpy as np
 
 from repro.errors import UnsupportedModelError
-from repro.markov.uniformization import expm_and_integral
-from repro.obs import span
+from repro.markov.uniformization import block_layout, expm_and_integral
+from repro.obs import span, tracing_active
 from repro.statespace.graph import TangibleGraph
 
 _PROBABILITY_TOLERANCE = 1e-14
@@ -144,8 +144,12 @@ def _fill_group(
         "dspn.mrgp_builder.group",
         transition=transition_name,
         members=len(group_edges),
-    ):
-        _fill_group_untraced(graph, transition_name, group_edges, kernel, sojourn)
+    ) as sp:
+        subgenerator = _fill_group_untraced(
+            graph, transition_name, group_edges, kernel, sojourn
+        )
+        if tracing_active():  # the layout is recomputed only for a reader
+            sp.set(blocks=len(block_layout(subgenerator)[1]) - 1)
 
 
 def _fill_group_untraced(
@@ -154,7 +158,8 @@ def _fill_group_untraced(
     group_edges: np.ndarray,
     kernel: np.ndarray,
     sojourn: np.ndarray,
-) -> None:
+) -> np.ndarray:
+    """Fill the group's rows; return its subordinated generator."""
     structure = graph.structure
     n = graph.n_states
     delays = np.unique(graph.values[group_edges])
@@ -209,3 +214,4 @@ def _fill_group_untraced(
     fired = np.where(at_delay > _PROBABILITY_TOLERANCE, at_delay, 0.0)
     targets = np.flatnonzero(routing.any(axis=0))
     kernel[np.ix_(rows, targets)] += fired @ routing[:, targets]
+    return subgenerator

@@ -51,7 +51,11 @@ FINGERPRINT_VERSION = 1
 #: Revision 2: every exponential-only net is solved on its CSR generator
 #: (``method="sparse"``, no more ``"ctmc"``), and the anchored solve
 #: keeps the positive mass below 1e-10 that older code dropped.
-SOLVER_REVISION = 2
+#: Revision 3: MRGP kernels multiply only the nonzero blocks of the
+#: subordinated generator's component order, which reorders sums and
+#: moves π by ~1e-15; a revision-2 entry would no longer be
+#: bit-identical to a fresh solve.
+SOLVER_REVISION = 3
 
 #: Token-count levels used for the single-place probe markings.
 _PROBE_LEVELS = (1, 2, 5)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from repro.dspn import solve_steady_state
 from repro.dspn.mrgp_builder import build_mrgp_kernels
 from repro.errors import UnsupportedModelError
 from repro.markov.mrgp import solve_mrgp
+from repro.obs import tracing
 from repro.perception.parameters import PerceptionParameters
 from repro.perception.rejuvenation import build_rejuvenation_net
 from repro.petri import NetBuilder
@@ -241,7 +243,8 @@ class TestPerceptionKernelInvariants:
         np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(sojourn.sum(axis=1), interval, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("n_modules, r", [(6, 1), (8, 2)])
+    # (10, 1) and (10, 2) take the block-triangular kernel path
+    @pytest.mark.parametrize("n_modules, r", [(6, 1), (8, 2), (10, 1), (10, 2)])
     def test_kernels_equal_augmented_matrix_reference(self, n_modules, r):
         graph = _perception_graph(n_modules, r, 600.0)
         kernel, sojourn = build_mrgp_kernels(graph)
@@ -250,6 +253,21 @@ class TestPerceptionKernelInvariants:
         np.testing.assert_allclose(
             sojourn, reference_sojourn, rtol=0.0, atol=1e-12 * 600.0
         )
+
+
+class TestGroupSpan:
+    """The group span tells which kernel route ran: 1 block is dense."""
+
+    @pytest.mark.parametrize("n_modules, r, blocks", [(8, 1, 1), (12, 2, 6)])
+    def test_solve_records_blocks(self, n_modules, r, blocks):
+        parameters = PerceptionParameters(n_modules=n_modules, f=1, r=r, rejuvenation=True)
+        with tracing() as tracer:
+            solve_steady_state(build_rejuvenation_net(parameters), use_cache=False)
+        (group,) = [
+            record for record in tracer.records
+            if record.name == "dspn.mrgp_builder.group"
+        ]
+        assert group.measures["blocks"] == blocks
 
 
 class TestUnsupportedShapes:
