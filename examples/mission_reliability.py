@@ -14,11 +14,8 @@ Run:  python examples/mission_reliability.py
 """
 
 from repro import PerceptionParameters, PerceptionSystem
-from repro.perception.metrics import (
-    exact_rate_elasticities,
-    mean_time_to_quorum_loss,
-    quorum_loss_probability,
-)
+from repro.analysis.sensitivity import elasticities
+from repro.perception.metrics import mean_time_to_quorum_loss, quorum_loss_probability
 
 
 def main() -> None:
@@ -42,10 +39,12 @@ def main() -> None:
         print(f"  P(quorum lost within {hours:>2d} h drive): {probability:.5f}")
     print()
 
-    print("== exact elasticities of E[R] (no finite differences) ==")
-    for name, value in exact_rate_elasticities(parameters).items():
-        direction = "helps" if value > 0 else "hurts"
-        print(f"  +1% {name}: {value * 1:+.4f} %  ({direction})")
+    print("== exact elasticities of E[R] (one adjoint solve) ==")
+    names = ("mttc", "mttf", "mttr")
+    exact = {e.parameter: e.elasticity for e in elasticities(parameters, names)}
+    for name in names:
+        direction = "helps" if exact[name] > 0 else "hurts"
+        print(f"  +1% {name}: {exact[name]:+.4f} %  ({direction})")
     print()
     print(
         "Reading: the compromise and failure times dominate; the 3-second\n"

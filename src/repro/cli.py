@@ -544,8 +544,8 @@ def _command_watch(args: argparse.Namespace) -> int:
 
 
 def _command_metrics(args: argparse.Namespace) -> int:
+    from repro.analysis.sensitivity import elasticities
     from repro.perception.metrics import (
-        exact_rate_elasticities,
         expected_misperceptions,
         mean_time_to_quorum_loss,
         quorum_loss_probability,
@@ -571,8 +571,10 @@ def _command_metrics(args: argparse.Namespace) -> int:
         f"({args.request_rate:g} req/s): {errors:.2f}"
     )
     print("exact elasticities of E[R]:")
-    for name, value in exact_rate_elasticities(parameters).items():
-        print(f"  {name:5s}: {value:+.5f} % per %")
+    names = ("mttc", "mttf", "mttr")
+    exact = {e.parameter: e.elasticity for e in elasticities(parameters, names)}
+    for name in names:
+        print(f"  {name:5s}: {exact[name]:+.5f} % per %")
     return 0
 
 

@@ -18,8 +18,11 @@ Entry points::
     value  = result.expected_reward(fn)     # fn: Marking -> float
 
     estimate = simulate(net, horizon=1e5, reward=fn, replications=20)
+
+    gradient = reward_gradient(result, rewards)  # dE/d(every edge value)
 """
 
+from repro.dspn.gradient import reward_gradient
 from repro.dspn.rewards import reward_vector
 from repro.dspn.simulate import (
     SimulationEstimate,
@@ -43,6 +46,7 @@ __all__ = [
     "SteadyStateResult",
     "TransientProfile",
     "replication_averages",
+    "reward_gradient",
     "reward_vector",
     "route_exponential",
     "simulate",

@@ -31,6 +31,7 @@ such nets.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +40,8 @@ from repro.markov.uniformization import block_layout, expm_and_integral
 from repro.obs import span, tracing_active
 from repro.statespace.graph import TangibleGraph
 
-_PROBABILITY_TOLERANCE = 1e-14
+#: Kernel entries at or below this are dropped (the gradient's masks).
+PROBABILITY_TOLERANCE = 1e-14
 
 
 def _dense_sums(
@@ -63,12 +65,46 @@ def build_mrgp_kernels(graph: TangibleGraph) -> tuple[np.ndarray, np.ndarray]:
     ``graph``.  Feed them to :func:`repro.markov.mrgp.solve_mrgp`.
     """
     with span("dspn.mrgp_builder", states=graph.n_states) as sp:
-        kernel, sojourn, n_groups = _build_kernels(graph)
-        sp.set(deterministic_groups=n_groups)
-    return kernel, sojourn
+        kernels = assemble_kernels(graph)
+        sp.set(deterministic_groups=len(kernels.groups))
+    return kernels.kernel, kernels.sojourn
 
 
-def _build_kernels(graph: TangibleGraph) -> tuple[np.ndarray, np.ndarray, int]:
+@dataclass(frozen=True)
+class DeterministicGroup:
+    """The markings (``rows``) enabling one deterministic transition.
+
+    ``rates[i, t]`` is the exponential rate from ``rows[i]`` to marking
+    ``t``, ``routing[i, t]`` the probability that the firing lands in
+    ``t``; ``exits`` are the outside markings reached at a positive rate
+    and ``targets`` those the firing reaches.
+    """
+
+    transition: str
+    edges: np.ndarray  # the deterministic edges, one per member
+    rows: np.ndarray  # the members, ascending
+    delay: float
+    rates: np.ndarray
+    routing: np.ndarray
+    moving: np.ndarray  # the exponential pairs out of the members
+    moving_rows: np.ndarray  # the member index of each of them
+    subgenerator: np.ndarray  # S = rates[:, rows] − diag(rates · 1)
+    exits: np.ndarray
+    targets: np.ndarray
+
+
+@dataclass(frozen=True)
+class Kernels:
+    """``K``, ``U`` and, per group, ``(group, e^{Sτ}, ∫_0^τ e^{Ss} ds)``."""
+
+    kernel: np.ndarray
+    sojourn: np.ndarray
+    exit_rates: np.ndarray  # exponential exit rate of each marking
+    armed: np.ndarray  # bool: the marking enables a deterministic transition
+    groups: list[tuple[DeterministicGroup, np.ndarray, np.ndarray]]
+
+
+def assemble_kernels(graph: TangibleGraph) -> Kernels:
     """The untraced kernel construction behind :func:`build_mrgp_kernels`."""
     structure = graph.structure
     n = graph.n_states
@@ -108,10 +144,15 @@ def _build_kernels(graph: TangibleGraph) -> tuple[np.ndarray, np.ndarray, int]:
     for edge in timed.tolist():
         groups[structure.edge_transition[edge]].append(edge)
 
-    for transition_name, group_edges in groups.items():
-        _fill_group(graph, transition_name, np.asarray(group_edges), kernel, sojourn)
-
-    return kernel, sojourn, len(groups)
+    filled = [
+        _fill_group(
+            deterministic_group(graph, transition_name, np.asarray(group_edges)),
+            kernel,
+            sojourn,
+        )
+        for transition_name, group_edges in groups.items()
+    ]
+    return Kernels(kernel, sojourn, total, armed, filled)
 
 
 def _armed_states(graph: TangibleGraph) -> np.ndarray:
@@ -132,34 +173,10 @@ def _armed_states(graph: TangibleGraph) -> np.ndarray:
     return counts > 0
 
 
-def _fill_group(
-    graph: TangibleGraph,
-    transition_name: str,
-    group_edges: np.ndarray,
-    kernel: np.ndarray,
-    sojourn: np.ndarray,
-) -> None:
-    """Fill kernel/sojourn rows for all markings enabling one transition."""
-    with span(
-        "dspn.mrgp_builder.group",
-        transition=transition_name,
-        members=len(group_edges),
-    ) as sp:
-        subgenerator = _fill_group_untraced(
-            graph, transition_name, group_edges, kernel, sojourn
-        )
-        if tracing_active():  # the layout is recomputed only for a reader
-            sp.set(blocks=len(block_layout(subgenerator)[1]) - 1)
-
-
-def _fill_group_untraced(
-    graph: TangibleGraph,
-    transition_name: str,
-    group_edges: np.ndarray,
-    kernel: np.ndarray,
-    sojourn: np.ndarray,
-) -> np.ndarray:
-    """Fill the group's rows; return its subordinated generator."""
+def deterministic_group(
+    graph: TangibleGraph, transition_name: str, group_edges: np.ndarray
+) -> DeterministicGroup:
+    """The group of markings whose deterministic edges are ``group_edges``."""
     structure = graph.structure
     n = graph.n_states
     delays = np.unique(graph.values[group_edges])
@@ -168,7 +185,6 @@ def _fill_group_untraced(
             f"deterministic transition {transition_name!r} has varying delays "
             f"{delays.tolist()}; constant delay required"
         )
-    delay = float(delays[0])
 
     # exponential rates and deterministic routing out of each member,
     # both indexed by the global target marking
@@ -178,7 +194,7 @@ def _fill_group_untraced(
     member_row[rows] = np.arange(n_members)
     pair_row = member_row[structure.pair_source]
     edges = structure.target_edge
-    moving = (pair_row >= 0) & ~structure.pair_deterministic
+    moving = np.flatnonzero((pair_row >= 0) & ~structure.pair_deterministic)
     rates = _dense_sums(
         (n_members, n),
         pair_row[moving],
@@ -198,20 +214,45 @@ def _fill_group_untraced(
     # subordinated generator over the members; exits stay outside it
     subgenerator = rates[:, rows]
     subgenerator[np.diag_indices(n_members)] -= rates.sum(axis=1)
-    at_delay, integral = expm_and_integral(subgenerator, delay)
+    return DeterministicGroup(
+        transition=transition_name,
+        edges=group_edges,
+        rows=rows,
+        delay=float(delays[0]),
+        rates=rates,
+        routing=routing,
+        moving=moving,
+        moving_rows=pair_row[moving],
+        subgenerator=subgenerator,
+        exits=np.flatnonzero(outside & rates.any(axis=0)),
+        targets=np.flatnonzero(routing.any(axis=0)),
+    )
+
+
+def _fill_group(
+    group: DeterministicGroup, kernel: np.ndarray, sojourn: np.ndarray
+) -> tuple[DeterministicGroup, np.ndarray, np.ndarray]:
+    """Fill the group's rows; return it with ``e^{Sτ}`` and ``∫_0^τ e^{Ss} ds``."""
+    rows = group.rows
+    with span(
+        "dspn.mrgp_builder.group", transition=group.transition, members=len(rows)
+    ) as sp:
+        at_delay, integral = expm_and_integral(group.subgenerator, group.delay)
+        if tracing_active():  # the layout is recomputed only for a reader
+            sp.set(blocks=len(block_layout(group.subgenerator)[1]) - 1)
 
     # expected time in each subordinated marking before min(τ, exit)
     sojourn[np.ix_(rows, rows)] += integral
     # regeneration by leaving the enabling set before τ: the exit block
     # of exp([[S, X], [0, 0]] τ) is (∫_0^τ e^{Ss} ds) · X
-    exits = np.flatnonzero(outside & rates.any(axis=0))
+    exits = group.exits
     if exits.size:
-        leaving = integral @ rates[:, exits]
+        leaving = integral @ group.rates[:, exits]
         kernel[np.ix_(rows, exits)] += np.where(
-            leaving > _PROBABILITY_TOLERANCE, leaving, 0.0
+            leaving > PROBABILITY_TOLERANCE, leaving, 0.0
         )
     # regeneration by the deterministic firing at τ
-    fired = np.where(at_delay > _PROBABILITY_TOLERANCE, at_delay, 0.0)
-    targets = np.flatnonzero(routing.any(axis=0))
-    kernel[np.ix_(rows, targets)] += fired @ routing[:, targets]
-    return subgenerator
+    fired = np.where(at_delay > PROBABILITY_TOLERANCE, at_delay, 0.0)
+    targets = group.targets
+    kernel[np.ix_(rows, targets)] += fired @ group.routing[:, targets]
+    return group, at_delay, integral

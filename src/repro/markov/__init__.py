@@ -7,8 +7,7 @@ graphs and delegates the numerics here.
 * :class:`~repro.markov.ctmc.CTMC` — continuous-time Markov chains held
   as a CSR generator: stationary distribution, transient and accumulated
   rewards via uniformization, absorption; first-passage times
-  (:mod:`~repro.markov.first_passage`, exact to roundoff) and exact
-  stationary sensitivities (:mod:`~repro.markov.sensitivity`) run on the
+  (:mod:`~repro.markov.first_passage`, exact to roundoff) run on the
   same CSR matrix.
 * :class:`~repro.markov.dtmc.DTMC` — discrete-time chains: stationary
   distribution, absorption analysis.
@@ -17,7 +16,8 @@ graphs and delegates the numerics here.
   sojourn-time matrix (the Markov renewal theorem).
 * :mod:`~repro.markov.linear` — the anchored stationary solve every
   route shares (recurrent class, pinned anchor state, LAPACK / SuperLU /
-  ILU-GMRES chosen by structural fill).
+  ILU-GMRES chosen by structural fill), and its transposed solve for
+  the Poisson equation of the reward gradient.
 * :mod:`~repro.markov.sparse` — CSR stationary solves and sparse
   uniformization, with solve provenance (:class:`SparseSolveInfo`)
   feeding the numerical certificates; :class:`CTMC` delegates to them.
@@ -32,11 +32,6 @@ from repro.markov.first_passage import (
     mean_time_to_predicate,
 )
 from repro.markov.mrgp import MRGPResult, solve_mrgp
-from repro.markov.sensitivity import (
-    rate_elasticity,
-    reward_derivative,
-    stationary_derivative,
-)
 from repro.markov.sparse import (
     SPARSE_SOLVERS,
     SparseSolveInfo,
@@ -61,10 +56,7 @@ __all__ = [
     "mean_hitting_times",
     "mean_time_to_hit",
     "mean_time_to_predicate",
-    "rate_elasticity",
-    "reward_derivative",
     "solve_mrgp",
-    "stationary_derivative",
     "stationary_distribution_sparse",
     "transient_distribution_sparse",
     "uniformized_series",

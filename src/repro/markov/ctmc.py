@@ -16,10 +16,8 @@ from repro.markov.sparse import (
     stationary_distribution_sparse,
     transient_distribution_sparse,
 )
-from repro.markov.uniformization import uniformized_series
+from repro.markov.uniformization import SEGMENT_TERMS, uniformized_walk
 
-#: Poisson terms per segment of :meth:`CTMC.accumulated_reward`.
-_SEGMENT_TERMS = 10_000
 #: Total-variation distance to π below which a distribution counts as mixed.
 _MIXED = 1e-10
 
@@ -136,12 +134,11 @@ class CTMC:
         """Expected reward ``initial @ (∫_0^t e^{Qs} ds) @ r`` over ``[0, time]``.
 
         Uniformizes the augmented matrix ``[[Q, r], [0, 0]]``, whose
-        exponential carries the integral in its last column, on
-        :func:`~repro.markov.uniformization.uniformized_series` with CSR
-        products.  Past :data:`_SEGMENT_TERMS` Poisson terms the horizon
-        is walked in segments; once the distribution is within
-        :data:`_MIXED` of π in total variation (a distance no later time
-        exceeds) the rest accrues at the rate ``π r``.
+        exponential carries the integral in its last column, with CSR
+        products on :func:`~repro.markov.uniformization.uniformized_walk`.
+        Once the distribution is within :data:`_MIXED` of π in total
+        variation (a distance no later time exceeds) the rest accrues at
+        the rate ``π r``.
         """
         rewards = self._vector(rewards, what="reward vector")
         initial = normalize_distribution(
@@ -158,23 +155,22 @@ class CTMC:
         )
         step = sp.csr_array((sp.eye_array(n + 1, format="csr") + augmented / rate).T)
         stationary = None
-        if rate * time > _SEGMENT_TERMS:
+        if rate * time > SEGMENT_TERMS:
             try:
                 stationary = self.stationary_distribution()
             except SolverError:  # no unique π: walk the whole horizon
                 pass
-        state = np.append(initial, 0.0)
-        elapsed = 0.0
-        while elapsed < time:
-            segment = min(_SEGMENT_TERMS / rate, time - elapsed)
-            state = uniformized_series(
-                lambda vector: step @ vector, state, poisson_mean=rate * segment
-            )
-            elapsed += segment
-            if stationary is None:
-                continue
-            if np.abs(state[:n] - stationary).sum() <= _MIXED:
-                return float(state[n] + (time - elapsed) * (stationary @ rewards))
+        state, elapsed = uniformized_walk(
+            lambda vector: step @ vector,
+            np.append(initial, 0.0),
+            rate=rate,
+            time=time,
+            stop=None
+            if stationary is None
+            else lambda state: np.abs(state[:n] - stationary).sum() <= _MIXED,
+        )
+        if elapsed < time:  # mixed: the rest accrues at the stationary rate
+            return float(state[n] + (time - elapsed) * (stationary @ rewards))
         return float(state[n])
 
     # ------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Stationary solves and validation helpers for Markov chains.
 
 Every stationary distribution in the package — the CTMC route on its
-CSR generator, the MRGP embedded chain and the sensitivity system —
-comes out of one anchored formulation, :func:`stationary_solve`:
+CSR generator and the MRGP embedded chain — comes out of one anchored
+formulation, :func:`stationary_solve`, and the Poisson equation of
+the reward gradient (:func:`solve_poisson`) is the transposed solve of
+the same LU:
 
 1. **Recurrent class.** :func:`recurrent_states` finds the unique
    terminal class ``R`` (or raises); transient states get π = 0
@@ -338,10 +340,12 @@ def _direct_solver(
 ) -> Callable[..., np.ndarray] | None:
     """``solve(anchor, rhs=None)`` by one LU of the anchored system.
 
-    ``solve`` returns ``x`` with ``x[anchor] = 1`` and ``x Q = rhs``
-    (default 0) on every other state's balance equation; a zero pivot
-    yields a non-finite ``x``, which the callers reject.  ``None`` for
-    the iterative factorizations.
+    Without ``rhs``, ``solve`` returns ``x`` with ``x[anchor] = 1`` and
+    ``x Q = 0`` on every other state's balance equation.  With ``rhs``
+    it is the transposed solve of the same LU: ``h`` with
+    ``h[anchor] = 0`` and ``(Q h)_i = rhs_i`` for every other state.  A
+    zero pivot yields a non-finite result, which the callers reject.
+    ``None`` for the iterative factorizations.
     """
     if factorization == "superlu":
         return lambda anchor, rhs=None: _superlu_solve(q_rr, order, anchor, rhs)
@@ -357,15 +361,14 @@ def _lapack_solve(
     """LAPACK LU of ``Q_BBᵀ`` (column dominant: the diagonal pivots)."""
     others = np.flatnonzero(np.arange(dense.shape[0]) != anchor)
     system = dense[np.ix_(others, others)].T  # Fortran-ordered, factored in place
-    target = -dense[anchor, others]
-    if rhs is not None:
-        target += rhs[others]
-    x = np.ones(dense.shape[0])
+    x = np.ones(dense.shape[0]) if rhs is None else np.zeros(dense.shape[0])
     lu, pivots, info = dgetrf(system, overwrite_a=True)
     if info > 0:  # an exactly zero pivot
         x[others] = np.nan
-    else:
-        x[others] = dgetrs(lu, pivots, target)[0]
+    elif rhs is None:
+        x[others] = dgetrs(lu, pivots, -dense[anchor, others])[0]
+    else:  # Q_BB h_B = rhs_B
+        x[others] = dgetrs(lu, pivots, rhs[others], trans=1)[0]
     return x
 
 
@@ -402,9 +405,7 @@ def _superlu_solve(
     the diagonal pivots are the ones partial pivoting would choose.
     """
     system, target, states = _reduced_system(q_rr, order, anchor)
-    if rhs is not None:
-        target += rhs[states]
-    x = np.ones(q_rr.shape[0])
+    x = np.ones(q_rr.shape[0]) if rhs is None else np.zeros(q_rr.shape[0])
     try:
         factors = splu(
             system,
@@ -412,7 +413,10 @@ def _superlu_solve(
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
-        x[states] = factors.solve(target)
+        if rhs is None:
+            x[states] = factors.solve(target)
+        else:  # Q_BB h_B = rhs_B
+            x[states] = factors.solve(rhs[states], trans="T")
     except RuntimeError:  # "Factor is exactly singular"
         x[states] = np.nan
     return x
@@ -547,36 +551,52 @@ def solve_stationary(matrix: np.ndarray, *, what: str) -> np.ndarray:
 def solve_stationary_stochastic(matrix: np.ndarray, *, what: str) -> np.ndarray:
     """Solve ``pi @ P = pi`` (DTMC) with ``sum(pi) = 1``.
 
-    Solved as the generator ``P − I`` with its diagonal rebuilt as minus
-    the off-diagonal row sums: ``p_ii − 1`` cancels when ``p_ii`` is
-    near 1, and the rebuilt exit probabilities keep the LU accurate
-    entry by entry.
+    Solved as the :func:`stochastic_generator` ``P − I``.
     """
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise SolverError(f"{what}: matrix must be square, got {matrix.shape}")
+    return solve_stationary(stochastic_generator(matrix), what=what)
+
+
+def solve_poisson(
+    generator: Any, rhs: np.ndarray, weights: np.ndarray, *, what: str
+) -> np.ndarray:
+    """A solution ``h`` of ``Q h = rhs`` (with ``π · rhs = 0``) on the recurrent class.
+
+    ``h`` is 0 at the heaviest recurrent state by ``weights`` (π,
+    typically) and off the recurrent class, where π vanishes.  It is the
+    transposed solve of the anchored LU of :func:`stationary_solve`,
+    with SuperLU standing in for ILU-GMRES.  Raises
+    :class:`~repro.errors.SolverError` on a chain with no unique
+    recurrent class or a zero pivot.
+    """
+    q = sp.csr_array(generator)
+    recurrent = np.flatnonzero(recurrent_states(q, what=what))
+    h = np.zeros(q.shape[0])
+    if recurrent.size < 2:
+        return h
+    q_rr = sp.csr_array(q[recurrent][:, recurrent])
+    fill, order = fill_estimate(q_rr)
+    factorization = choose_factorization(q_rr.shape[0], fill)
+    solve = _direct_solver(
+        q_rr, order, "superlu" if factorization == "ilu-gmres" else factorization
+    )
+    anchor = int(np.argmax(np.asarray(weights)[recurrent]))
+    h[recurrent] = solve(anchor, np.asarray(rhs, dtype=float)[recurrent])
+    if not np.all(np.isfinite(h)):
+        raise SolverError(f"{what}: the Poisson equation's LU met a zero pivot")
+    return h
+
+
+def stochastic_generator(matrix: np.ndarray) -> np.ndarray:
+    """``P − I`` for a stochastic ``P``, its diagonal rebuilt as minus the
+    off-diagonal row sums: ``p_ii − 1`` cancels when ``p_ii`` is near 1,
+    and the rebuilt exit probabilities keep the LU accurate entry by entry."""
     generator = np.array(matrix, dtype=float)
     np.fill_diagonal(generator, 0.0)
     np.fill_diagonal(generator, -generator.sum(axis=1))
-    return solve_stationary(generator, what=what)
-
-
-def solve_anchored(generator: Any, rhs: np.ndarray, anchor: int) -> np.ndarray:
-    """A solution of ``x Q = rhs`` with ``x[anchor] = 1``, by one anchored LU.
-
-    ``Q`` must have a unique recurrent class containing ``anchor`` and
-    ``rhs`` must be consistent (``rhs · 1 = 0``); the general solution
-    adds multiples of π.  The factorization follows :func:`choose_factorization`,
-    with SuperLU standing in for ILU-GMRES.
-    """
-    q = sp.csr_array(generator)
-    if q.shape[0] == 1:
-        return np.ones(1)
-    fill, order = fill_estimate(q)
-    factorization = choose_factorization(q.shape[0], fill)
-    if factorization == "ilu-gmres":
-        factorization = "superlu"
-    return _direct_solver(q, order, factorization)(anchor, rhs)
+    return generator
 
 
 def check_stochastic(matrix: np.ndarray, *, what: str, substochastic: bool = False) -> np.ndarray:

@@ -11,8 +11,8 @@ The generator stays in CSR form end-to-end:
   structural check with one :class:`~repro.errors.SolverError` text on
   reducible chains.
 * :func:`transient_distribution_sparse` — Jensen's uniformization with a
-  CSR matrix-vector product on the Poisson series of
-  :func:`repro.markov.uniformization.uniformized_series`; it backs
+  CSR matrix-vector product, walked in segments by
+  :func:`repro.markov.uniformization.uniformized_walk`; it backs
   :meth:`CTMC.transient <repro.markov.ctmc.CTMC.transient>`.
 
 Acceptance is the anchored solve's bar: a solution is returned only if
@@ -33,7 +33,7 @@ from repro.markov.linear import (
     recurrent_states,
     stationary_solve,
 )
-from repro.markov.uniformization import uniformized_series
+from repro.markov.uniformization import uniformized_walk
 from repro.obs import counter, histogram, span
 
 #: Stationary methods accepted by :func:`stationary_distribution_sparse`.
@@ -134,9 +134,10 @@ def transient_distribution_sparse(
 
     Computes ``initial @ expm(Q t)`` without forming the exponential:
     with ``L = max |Q_ii|`` and ``P = I + Q / L``,
-    ``π(t) = Σ_k Poisson(k; L t) · initial @ P^k``, truncated by
-    :func:`repro.markov.uniformization.uniformized_series` once the
-    Poisson tail falls below ``tolerance``.
+    ``π(t) = Σ_k Poisson(k; L t) · initial @ P^k``, truncated once the
+    Poisson tail falls below ``tolerance``.  Long horizons are walked in
+    segments (:func:`repro.markov.uniformization.uniformized_walk`), so
+    ``max_terms`` bounds each segment, not the horizon.
     """
     generator = check_sparse_generator(generator, what=what)
     if time < 0:
@@ -150,10 +151,12 @@ def transient_distribution_sparse(
     # re-transposing ``P`` on every term
     step = sp.csr_array((sp.identity(n, format="csr") + generator / rate).T)
     with span("markov.sparse_transient", size=n):
-        return uniformized_series(
+        distribution, _ = uniformized_walk(
             lambda vector: step @ vector,
             initial,
-            poisson_mean=rate * time,
+            rate=rate,
+            time=time,
             tolerance=tolerance,
             max_terms=max_terms,
         )
+        return distribution

@@ -1,10 +1,11 @@
 """Transient analysis helpers: uniformization and matrix-exponential integrals.
 
 :func:`uniformized_series` is Jensen's Poisson-weighted series, over a
-caller-supplied step; the CSR transient
+caller-supplied step; :func:`uniformized_walk` walks a long horizon in
+segments of it.  The CSR transient
 (:func:`repro.markov.sparse.transient_distribution_sparse`) and
 :meth:`CTMC.accumulated_reward <repro.markov.ctmc.CTMC.accumulated_reward>`
-run on it.  :func:`expm_and_integral` is the pair the MRGP kernels need
+run on the walk.  :func:`expm_and_integral` is the pair the MRGP kernels need
 on their subordinated generators, computed over the block-triangular
 :func:`block_layout` of the matrix.
 """
@@ -76,6 +77,40 @@ def uniformized_series(
     if accumulated > 0.0:
         result /= accumulated
     return result
+
+
+#: Poisson terms per segment of :func:`uniformized_walk`.
+SEGMENT_TERMS = 10_000
+
+
+def uniformized_walk(
+    apply_step: Callable[[np.ndarray], np.ndarray],
+    initial: np.ndarray,
+    *,
+    rate: float,
+    time: float,
+    tolerance: float = 1e-12,
+    max_terms: int = 1_000_000,
+    stop: Callable[[np.ndarray], bool] | None = None,
+) -> tuple[np.ndarray, float]:
+    """``(state, elapsed)``: :func:`uniformized_series` over ``time`` at
+    uniformization ``rate``, in segments of at most :data:`SEGMENT_TERMS`
+    Poisson terms, so any horizon fits ``max_terms``.  ``stop(state)``,
+    asked after each segment, may end the walk at ``elapsed < time``."""
+    state, elapsed = initial, 0.0
+    while elapsed < time:
+        segment = min(SEGMENT_TERMS / rate, time - elapsed)
+        state = uniformized_series(
+            apply_step,
+            state,
+            poisson_mean=rate * segment,
+            tolerance=tolerance,
+            max_terms=max_terms,
+        )
+        elapsed += segment
+        if stop is not None and stop(state):
+            break
+    return state, elapsed
 
 
 #: Taylor coefficients 1/(k+1)! of φ₁(Y) = Σ_k Y^k / (k+1)!, k = 0..16.

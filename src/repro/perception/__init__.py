@@ -30,7 +30,6 @@ Quickstart::
 from repro.perception.architecture import PerceptionSystem
 from repro.perception.evaluation import Evaluation, EvaluationResult, build_net, evaluate
 from repro.perception.metrics import (
-    exact_rate_elasticities,
     expected_misperceptions,
     mean_time_to_quorum_loss,
     quorum_loss_probability,
@@ -53,7 +52,6 @@ __all__ = [
     "build_no_rejuvenation_net",
     "build_rejuvenation_net",
     "evaluate",
-    "exact_rate_elasticities",
     "expected_misperceptions",
     "mean_time_to_quorum_loss",
     "module_counts",

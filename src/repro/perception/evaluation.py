@@ -13,6 +13,7 @@ the generalized enumeration for every other configuration.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -125,6 +126,36 @@ def build_net(parameters: PerceptionParameters, **options: Any) -> PetriNet:
     return build_no_rejuvenation_net(parameters, **options)
 
 
+#: The transition whose edges carry each time parameter: a mean time
+#: divides the rate of an exponential transition, the rejuvenation
+#: interval is the delay of the deterministic clock.
+TIME_TRANSITIONS = {
+    "mttc": "Tc",
+    "mttf": "Tf",
+    "mttr": "Tr",
+    "rejuvenation_time_per_module": "Trj",
+    "rejuvenation_interval": "Trc",
+}
+
+
+def reliability_rewards(
+    counts: Sequence[ModuleCounts], reliability: ReliabilityFunction
+) -> tuple[np.ndarray, dict[ModuleCounts, float]]:
+    """Eq. 1's reward vector ``R(i, j, k)`` over markings with ``counts``.
+
+    Each distinct (i, j, k) is evaluated once; returns the vector and
+    that per-state table.
+    """
+    table: dict[ModuleCounts, float] = {}
+    rewards = np.empty(len(counts), dtype=float)
+    for index, state in enumerate(counts):
+        value = table.get(state)
+        if value is None:
+            value = table[state] = float(reliability(*state))
+        rewards[index] = value
+    return rewards, table
+
+
 @dataclass(frozen=True)
 class Evaluation:
     """One Eq. 1 request: a configuration, its reward and its solver options.
@@ -204,26 +235,14 @@ class Evaluation:
         """The full Eq. 1 evaluation (computed on first use)."""
         solution = self.solve()
         state_probabilities: dict[ModuleCounts, float] = {}
-        state_reliability: dict[ModuleCounts, float] = {}
-        rewards = np.empty(len(solution.pi), dtype=float)
         with span("dspn.rewards", markings=len(solution.pi)):
-            for index, (marking, probability) in enumerate(
-                zip(solution.markings, solution.pi)
-            ):
-                counts = module_counts(marking)
-                state_probabilities[counts] = state_probabilities.get(
-                    counts, 0.0
+            counts = [module_counts(marking) for marking in solution.markings]
+            rewards, state_reliability = reliability_rewards(counts, self.reliability)
+            for state, probability in zip(counts, solution.pi):
+                state_probabilities[state] = state_probabilities.get(
+                    state, 0.0
                 ) + float(probability)
-                if counts not in state_reliability:
-                    state_reliability[counts] = float(
-                        self.reliability(
-                            counts.healthy, counts.compromised, counts.unavailable
-                        )
-                    )
-                rewards[index] = state_reliability[counts]
-
-            # Same contraction as SteadyStateResult.expected_reward (Eq. 1),
-            # with each distinct (i, j, k) evaluated once instead of per marking.
+            # Same contraction as SteadyStateResult.expected_reward (Eq. 1).
             expected = float(solution.pi @ rewards)
         return EvaluationResult(
             expected_reliability=expected,

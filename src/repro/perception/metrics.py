@@ -9,33 +9,32 @@ exactly (for the clockless models, which are CTMCs):
   ``2f+1`` outputs (``k > f``, the paper's "reliability is 0" states);
 * **quorum-loss probability within a mission** — e.g. "what is the
   chance a 2-hour drive ever loses the voting quorum?";
-* **exact parameter sensitivities** of E[R_sys] via the Blake/Reibman/
-  Trivedi linear system (no finite differences).
+* **expected misperceptions** over a mission.
 
 For rejuvenating (clocked) systems these quantities are available by
-simulation through :func:`repro.simulation.simulate_batch`.
+simulation through :func:`repro.simulation.simulate_batch`.  Exact
+parameter sensitivities of E[R_sys], for clocked and clockless systems
+alike, are :func:`repro.analysis.sensitivity.elasticities`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dspn.ctmc_builder import build_ctmc, generator_derivative
-from repro.dspn.rewards import reward_vector
+from repro.dspn.ctmc_builder import build_ctmc
 from repro.dspn.steady_state import tangible_graph
 from repro.engine.cache import active_cache
 from repro.errors import UnsupportedModelError
 from repro.markov.first_passage import hitting_probability_by, mean_time_to_hit
-from repro.markov.sensitivity import rate_elasticity
 from repro.nversion.reliability import ReliabilityFunction
-from repro.perception.evaluation import default_reliability_function
+from repro.perception.evaluation import (
+    default_reliability_function,
+    reliability_rewards,
+)
 from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
 from repro.perception.statemap import module_counts
 from repro.statespace import TangibleGraph
-
-# rate parameter -> the DSPN transition carrying it
-_RATE_TRANSITIONS = {"mttc": "Tc", "mttf": "Tf", "mttr": "Tr"}
 
 
 def _clockless_ctmc(parameters: PerceptionParameters):
@@ -51,22 +50,6 @@ def _clockless_ctmc(parameters: PerceptionParameters):
         structures=None if cache is None else cache.structures,
     )
     return graph, build_ctmc(graph)
-
-
-def _reliability_rewards(
-    graph: TangibleGraph,
-    parameters: PerceptionParameters,
-    reliability: ReliabilityFunction | None,
-) -> np.ndarray:
-    """Eq. 1's reward: each marking's ``R(healthy, compromised, unavailable)``."""
-    if reliability is None:
-        reliability = default_reliability_function(parameters)
-
-    def reward(marking):
-        counts = module_counts(marking)
-        return reliability(counts.healthy, counts.compromised, counts.unavailable)
-
-    return reward_vector(graph.markings, reward)
 
 
 def _quorum_lost_states(graph: TangibleGraph, parameters: PerceptionParameters):
@@ -124,37 +107,11 @@ def expected_misperceptions(
         raise UnsupportedModelError(f"mission_time must be >= 0, got {mission_time}")
     if request_rate <= 0:
         raise UnsupportedModelError(f"request_rate must be > 0, got {request_rate}")
+    if reliability is None:
+        reliability = default_reliability_function(parameters)
     graph, chain = _clockless_ctmc(parameters)
-    rewards = _reliability_rewards(graph, parameters, reliability)
+    counts = [module_counts(marking) for marking in graph.markings]
+    rewards = reliability_rewards(counts, reliability)[0]
     initial = np.asarray(graph.initial_distribution, dtype=float)
     accumulated_reliability = chain.accumulated_reward(initial, rewards, mission_time)
     return request_rate * (mission_time - accumulated_reliability)
-
-
-def exact_rate_elasticities(
-    parameters: PerceptionParameters,
-    *,
-    reliability: ReliabilityFunction | None = None,
-) -> dict[str, float]:
-    """Exact elasticities of E[R_sys] w.r.t. the three rate parameters.
-
-    Returns ``{"mttc": e, "mttf": e, "mttr": e}`` where each value is
-    the percent change of E[R] per percent change of the *mean time*
-    (note: elasticity w.r.t. a mean time is the negative of the
-    elasticity w.r.t. its rate).
-    """
-    graph, chain = _clockless_ctmc(parameters)
-    rewards = _reliability_rewards(graph, parameters, reliability)
-    rates = {
-        "mttc": parameters.lambda_c,
-        "mttf": parameters.lambda_f,
-        "mttr": parameters.mu,
-    }
-    elasticities = {}
-    for name, transition in _RATE_TRANSITIONS.items():
-        derivative = generator_derivative(graph, transition)
-        with_respect_to_rate = rate_elasticity(
-            chain, rewards, derivative, rates[name]
-        )
-        elasticities[name] = -with_respect_to_rate  # d/d(mean) = -d/d(rate)
-    return elasticities

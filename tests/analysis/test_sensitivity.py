@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.sensitivity import elasticities
+from repro.analysis.sweeps import SWEEPABLE
 from repro.errors import ParameterError
 
 
@@ -33,9 +34,30 @@ class TestElasticities:
         with pytest.raises(ParameterError):
             elasticities(four_version_parameters, ["voltage"])
 
-    def test_bad_step_rejected(self, four_version_parameters):
-        with pytest.raises(ParameterError):
-            elasticities(four_version_parameters, ["p"], relative_step=0.9)
+    @pytest.mark.parametrize("fixture", ["four_version_parameters", "six_version_parameters"])
+    def test_one_steady_state_solve_per_call(self, fixture, request, monkeypatch):
+        import repro.perception.evaluation as evaluation
+
+        calls = []
+        solve = evaluation.solve_steady_state
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "solve_steady_state", counted)
+        results = elasticities(request.getfixturevalue(fixture), sorted(SWEEPABLE))
+        assert len(results) == len(SWEEPABLE)
+        assert len(calls) == 1
+
+    def test_clockless_net_ignores_rejuvenation_parameters(
+        self, four_version_parameters
+    ):
+        results = elasticities(
+            four_version_parameters,
+            ["rejuvenation_interval", "rejuvenation_time_per_module"],
+        )
+        assert [e.elasticity for e in results] == [0.0, 0.0]
 
     def test_base_values_recorded(self, four_version_parameters):
         (result,) = elasticities(four_version_parameters, ["mttc"])

@@ -250,8 +250,8 @@ class TestBitIdentity:
         np.testing.assert_array_equal(hit.distributions, cold.distributions)
 
     def test_time_domain_metrics_hit_equals_cold(self):
+        from repro.analysis.sensitivity import elasticities
         from repro.perception.metrics import (
-            exact_rate_elasticities,
             mean_time_to_quorum_loss,
             quorum_loss_probability,
         )
@@ -260,7 +260,7 @@ class TestBitIdentity:
             return (
                 mean_time_to_quorum_loss(parameters),
                 quorum_loss_probability(parameters, 7200.0),
-                exact_rate_elasticities(parameters),
+                elasticities(parameters, ("mttc", "mttf", "mttr")),
             )
 
         base = PerceptionParameters.four_version_defaults()

@@ -223,3 +223,15 @@ class TestTransientSparse:
         generator = sp.csr_array(random_ergodic_generator(5, seed=8))
         with pytest.raises(SolverError, match="time must be >= 0"):
             transient_distribution_sparse(generator, np.ones(5) / 5, -1.0)
+
+    def test_long_horizon_is_walked_in_segments(self):
+        """A horizon of 40 000 Poisson terms runs in segments, each well
+        inside ``max_terms``, and keeps the closed form of the up/down chain."""
+        fail, repair, time = 1.0, 2.0, 20_000.0  # L·t = 40 000 terms
+        generator = sp.csr_array(np.array([[-fail, fail], [repair, -repair]]))
+        actual = transient_distribution_sparse(
+            generator, np.array([1.0, 0.0]), time, max_terms=15_000
+        )
+        up = repair / (fail + repair)
+        expected_up = up + (1.0 - up) * np.exp(-(fail + repair) * time)
+        np.testing.assert_allclose(actual, [expected_up, 1.0 - expected_up], atol=1e-12)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import UnsupportedModelError
 from repro.perception.metrics import (
-    exact_rate_elasticities,
     mean_time_to_quorum_loss,
     quorum_loss_probability,
 )
@@ -52,25 +51,41 @@ class TestQuorumLossProbability:
         assert probability == pytest.approx(approx, rel=0.15)
 
 
+def _full_solve_elasticity(parameters, name, step=1e-4):
+    """Central difference of two full Eq. 1 solves (the reference)."""
+    from repro.perception.evaluation import evaluate
+
+    value = getattr(parameters, name)
+    upper = evaluate(parameters.replace(**{name: value * (1 + step)}))
+    lower = evaluate(parameters.replace(**{name: value * (1 - step)}))
+    base = evaluate(parameters).expected_reliability
+    return (
+        (upper.expected_reliability - lower.expected_reliability) / (2 * step) / base
+    )
+
+
+def _rate_elasticities(parameters):
+    from repro.analysis.sensitivity import elasticities
+
+    names = ("mttc", "mttf", "mttr")
+    return {e.parameter: e.elasticity for e in elasticities(parameters, names)}
+
+
 class TestExactElasticities:
     def test_matches_finite_differences(self, four_version_parameters):
-        from repro.analysis.sensitivity import elasticities
-
-        exact = exact_rate_elasticities(four_version_parameters)
-        numeric = {
-            e.parameter: e.elasticity
-            for e in elasticities(
-                four_version_parameters, ["mttc", "mttf", "mttr"]
-            )
-        }
+        exact = _rate_elasticities(four_version_parameters)
         for name in ("mttc", "mttf", "mttr"):
-            assert exact[name] == pytest.approx(numeric[name], abs=1e-3)
+            numeric = _full_solve_elasticity(four_version_parameters, name)
+            assert exact[name] == pytest.approx(numeric, rel=1e-6)
 
     def test_signs(self, four_version_parameters):
-        exact = exact_rate_elasticities(four_version_parameters)
+        exact = _rate_elasticities(four_version_parameters)
         assert exact["mttc"] > 0  # slower compromise helps
         assert exact["mttf"] < 0  # staying compromised longer hurts (at p'=0.5)
 
-    def test_rejuvenating_configuration_rejected(self, six_version_parameters):
-        with pytest.raises(UnsupportedModelError):
-            exact_rate_elasticities(six_version_parameters)
+    def test_rejuvenating_configuration_agrees(self, six_version_parameters):
+        """The rejuvenating net, solved as an MRGP, agrees with full solves."""
+        exact = _rate_elasticities(six_version_parameters)
+        for name in ("mttc", "mttf", "mttr"):
+            numeric = _full_solve_elasticity(six_version_parameters, name)
+            assert exact[name] == pytest.approx(numeric, rel=1e-6)
