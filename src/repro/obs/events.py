@@ -6,6 +6,9 @@ receives one dict per lifecycle moment and — when given a sink —
 writes it as a JSON line immediately (flushed per event), so a watcher
 can ``tail -f`` the file while a long sweep executes.  The CLI wires
 this to ``--events out.jsonl`` on every sweep-running subcommand.
+The same class is the service's log: ``repro serve`` keeps one bounded
+stream behind ``GET /events`` (and its ``--events`` file) and one per
+sweep job, which HTTP followers tail by ``seq`` cursor.
 
 Emitted events, in pipeline order:
 
@@ -40,8 +43,10 @@ Like the tracer, the disabled path is free: with no stream installed,
 from __future__ import annotations
 
 import json
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import islice
 from typing import IO, Any, Iterable
 
 from repro.obs import clock as _clockmod
@@ -55,16 +60,44 @@ VOLATILE_FIELDS = ("ts", "jobs", "chunks", "process", "duration")
 
 
 class EventStream:
-    """Collects (and optionally writes through) the events of one run."""
+    """The event log of one run, or of one server or job.
+
+    Every appended event gets the next absolute sequence number
+    (:attr:`seq` is the last one handed out).  With a ``limit`` only
+    the newest ``limit`` events stay in memory; ``None`` keeps them all
+    (every CLI and sweep stream).  Eviction never renumbers: a cursor
+    is a ``seq``, and :meth:`since` resumes past it at whatever is
+    still retained.  A ``sink`` receives every event as a JSON line,
+    flushed per event, whether or not it is still retained.
+
+    Followers park in :meth:`wait` until an append or :meth:`close`.
+    An append wakes them only when someone is parked, so with no
+    follower it stays O(1) and schedules nothing on the event loop.
+    """
 
     def __init__(
         self,
         sink: IO[str] | None = None,
         clock: "_clockmod.Clock | None" = None,
+        limit: int | None = None,
     ) -> None:
+        if limit is not None and limit < 1:
+            raise ValueError(f"limit must be >= 1, got {limit}")
         self.sink = sink
         self.clock = clock
-        self.events: list[dict[str, Any]] = []
+        self.limit = limit
+        self.seq = 0
+        self.closed = False
+        self._entries: deque[dict[str, Any]] = deque(maxlen=limit)
+        self._wakeup: Any = None  # asyncio.Event while someone waits
+
+    def snapshot(self) -> list[dict[str, Any]]:
+        """The retained events, oldest first (a copy)."""
+        return list(self._entries)
+
+    @property
+    def events(self) -> list[dict[str, Any]]:
+        return self.snapshot()
 
     def _now(self) -> float:
         clock = self.clock
@@ -73,7 +106,7 @@ class EventStream:
     def emit(self, kind: str, **fields: Any) -> dict[str, Any]:
         """Record one event, stamped with the stream's clock."""
         event = {"event": kind, "ts": self._now(), **fields}
-        self._append(event)
+        self.append(event)
         return event
 
     def replay(self, events: Iterable[dict[str, Any]], **extra: Any) -> None:
@@ -84,18 +117,60 @@ class EventStream:
         stamps the worker's chunk lane as ``process``).
         """
         for event in events:
-            self._append({**event, **extra})
+            self.append({**event, **extra})
 
-    def _append(self, event: dict[str, Any]) -> None:
-        self.events.append(event)
+    def append(self, event: dict[str, Any]) -> None:
+        """Log one already-stamped event under the next ``seq``."""
+        self.seq += 1
+        self._entries.append(event)
         if self.sink is not None:
             self.sink.write(json.dumps(event, sort_keys=True) + "\n")
             self.sink.flush()
+        self._wake()
+
+    def close(self) -> None:
+        """Mark the log finished and wake every parked follower."""
+        self.closed = True
+        self._wake()
+
+    def since(self, cursor: int) -> list[tuple[int, dict[str, Any]]]:
+        """``(seq, event)`` pairs newer than ``cursor``, oldest first."""
+        first = self.seq - len(self._entries) + 1
+        skip = max(0, cursor - first + 1)
+        return [
+            (first + offset, event)
+            for offset, event in enumerate(
+                islice(self._entries, skip, None), skip
+            )
+        ]
+
+    async def wait(
+        self, cursor: int, timeout: float = 10.0
+    ) -> list[tuple[int, dict[str, Any]]]:
+        """Entries past ``cursor``; blocks until news, close, or timeout."""
+        fresh = self.since(cursor)
+        if fresh or self.closed:
+            return fresh
+        import asyncio  # deferred: only a live follower needs a loop
+
+        if self._wakeup is None:
+            self._wakeup = asyncio.Event()
+        try:
+            await asyncio.wait_for(self._wakeup.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass
+        return self.since(cursor)
+
+    def _wake(self) -> None:
+        wakeup = self._wakeup
+        if wakeup is not None:
+            self._wakeup = None
+            wakeup.set()
 
     def to_jsonl(self) -> str:
-        """One JSON object per event, in emission order."""
+        """One JSON object per retained event, in emission order."""
         return "\n".join(
-            json.dumps(event, sort_keys=True) for event in self.events
+            json.dumps(event, sort_keys=True) for event in self._entries
         )
 
 

@@ -4,7 +4,7 @@ The observability layer so far *records* — spans, metrics, events — and
 leaves judgement to a human staring at ``repro top``.  This package
 closes that loop: it consumes the normalized event/metric streams the
 system already produces (the batch-simulation firehose, the serve event
-ring, any ``--events`` JSONL file) and emits a typed, replayable
+log, any ``--events`` JSONL file) and emits a typed, replayable
 **alert stream** with statistically certified error rates.
 
 Three detector families (:mod:`repro.obs.watch.detectors`):

@@ -7,7 +7,7 @@ to three detector families, feeding them from either of two shapes:
   counts from the batch-simulation firehose (errors/trials plus the
   monitor's deviation bookkeeping);
 * **events** (:meth:`Watcher.feed_event`) — normalized JSONL events,
-  e.g. ``serve.solve.done`` latencies from the serve ring or a
+  e.g. ``serve.solve.done`` latencies from the serve event log or a
   recorded ``--events`` file replayed by ``repro watch``.
 
 Everything downstream of the observations is deterministic, so an
@@ -170,7 +170,7 @@ class Watcher:
             )
         return emitted
 
-    # -- event side (serve ring / recorded JSONL) ----------------------
+    # -- event side (serve event log / recorded JSONL) -----------------
     def observe_latency(
         self, *, time: float, op: str, seconds: float
     ) -> "list[dict[str, Any]]":

@@ -37,7 +37,7 @@ analogue of the engine cache's verified entries.
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -88,6 +88,14 @@ SWEEPABLE_KEYS = (
 
 _OPENMETRICS_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
+#: Completed results kept per process for cache hits.
+RESULT_CACHE_SIZE = 4096
+#: Finished request and job traces kept for ``GET /trace/{id}``.
+TRACE_RETENTION = 64
+#: Server-wide events kept in memory for ``GET /events`` (the
+#: ``--events`` file still receives every one).
+EVENT_LOG_LIMIT = 4096
+
 #: Fixed route labels for the per-endpoint SLO latency histograms
 #: (``serve.endpoint.<label>.seconds``); prefix routes map below.
 _ENDPOINT_LABELS = {
@@ -134,10 +142,7 @@ class ServeConfig:
     max_jobs: int = 16  # live async jobs before 503
     rate: float = 0.0  # per-client requests/s (0 = unlimited)
     burst: float | None = None  # bucket capacity (default 2 * rate)
-    result_cache_size: int = 4096  # completed results kept per process
     events: str | None = None  # JSONL event-stream file (like --events)
-    trace_retention: int = 64  # finished request traces kept for /trace
-    event_ring: int = 4096  # server-wide events kept for GET /events
     watch: bool = True  # run the alert watcher over the event stream
     slo_latency: float = 0.5  # request latency budget (s) for SLO burn
     slo_objective: float = 0.99  # fraction of requests within the budget
@@ -159,83 +164,6 @@ class ServeConfig:
             )
 
 
-class EventRing:
-    """Bounded server-wide event buffer with absolute sequence cursors.
-
-    Every service event — the ``serve.*`` lifecycle plus every job's
-    events — lands here regardless of whether a ``--events`` file is
-    configured, so ``GET /events`` (and ``repro top --url``) can tail
-    one merged stream.  Entries carry a monotonically increasing
-    sequence number, so eviction of old events never corrupts a
-    follower's cursor.
-    """
-
-    def __init__(self, limit: int = 4096) -> None:
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        self._entries: deque[tuple[int, dict[str, Any]]] = deque(maxlen=limit)
-        self._seq = 0
-        self._changed = asyncio.Condition()
-        self._waiters = 0
-        self.closed = False
-
-    def append(self, event: dict[str, Any]) -> None:
-        self._seq += 1
-        self._entries.append((self._seq, event))
-        self._notify()
-
-    def close(self) -> None:
-        """Mark the ring finished (server stopping) and wake followers."""
-        self.closed = True
-        self._notify()
-
-    def since(self, cursor: int) -> "list[tuple[int, dict[str, Any]]]":
-        """``(seq, event)`` pairs newer than ``cursor``."""
-        return [entry for entry in self._entries if entry[0] > cursor]
-
-    def snapshot(self) -> list[dict[str, Any]]:
-        return [event for _, event in self._entries]
-
-    def _notify(self) -> None:
-        if not self._waiters:
-            return  # nobody is tailing: appends stay O(1), no task churn
-
-        async def wake() -> None:
-            async with self._changed:
-                self._changed.notify_all()
-
-        try:
-            asyncio.get_running_loop().create_task(wake())
-        except RuntimeError:  # no loop: nothing can be waiting
-            pass
-
-    async def wait(
-        self, cursor: int, *, timeout: float = 10.0
-    ) -> "list[tuple[int, dict[str, Any]]]":
-        """Entries past ``cursor``; blocks until news, close, or timeout."""
-        fresh = self.since(cursor)
-        if fresh or self.closed:
-            return fresh
-        async with self._changed:
-            self._waiters += 1
-            try:
-                await asyncio.wait_for(self._changed.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
-            finally:
-                self._waiters -= 1
-        return self.since(cursor)
-
-
-@dataclass
-class _EventTail:
-    """Sentinel response: stream a job's (or the server's) events."""
-
-    job: Job | None = None
-    ring: EventRing | None = None
-    follow: bool = True
-
-
 class ReliabilityService:
     """One server instance; create, ``start()``, ``stop()``."""
 
@@ -255,8 +183,10 @@ class ReliabilityService:
         self.limiter = RateLimiter(self.config.rate, self.config.burst)
         self.manifest: dict[str, Any] = {}
         self.port: int | None = None
-        self.traces = TraceStore(self.config.trace_retention)
-        self.ring = EventRing(self.config.event_ring)
+        self.traces = TraceStore(TRACE_RETENTION)
+        #: The server-wide event log behind ``GET /events``; start()
+        #: attaches the ``--events`` file as its sink.
+        self.ring = EventStream(limit=EVENT_LOG_LIMIT)
         self.watcher: "Watcher | None" = None
         if self.config.watch:
             self.watcher = Watcher(
@@ -273,8 +203,6 @@ class ReliabilityService:
         self._request_serial = 0
         self._executor: ProcessPoolExecutor | ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._events: EventStream | None = None
-        self._events_sink = None
         self._job_tasks: set[asyncio.Task] = set()
 
     def attach_monitor(
@@ -311,8 +239,7 @@ class ReliabilityService:
             ),
         ).as_dict()
         if self.config.events:
-            self._events_sink = open(self.config.events, "w", encoding="utf-8")
-            self._events = EventStream(sink=self._events_sink)
+            self.ring.sink = open(self.config.events, "w", encoding="utf-8")
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port
         )
@@ -334,10 +261,9 @@ class ReliabilityService:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        if self._events_sink is not None:
-            self._events_sink.close()
-            self._events_sink = None
-        self._events = None
+        if self.ring.sink is not None:
+            self.ring.sink.close()
+            self.ring.sink = None
         self.ring.close()
 
     async def run_forever(self) -> None:
@@ -357,17 +283,15 @@ class ReliabilityService:
         self._forward_event({"event": kind, "ts": _clockmod.now(), **fields})
 
     def _forward_event(self, event: dict[str, Any]) -> None:
-        """One already-stamped event into the ring and the event log.
+        """One already-stamped event into the server's event log.
 
         Also the ``Job.on_event`` hook, so job lifecycle events reach
         ``GET /events`` and the ``--events`` file alongside their own
-        per-job stream.  When the watcher is enabled every forwarded
+        per-job log.  When the watcher is enabled every forwarded
         event feeds it too, and any alerts it raises re-enter this path
         (the watcher skips ``alert.*``, so there is no feedback loop).
         """
         self.ring.append(event)
-        if self._events is not None:
-            self._events.replay([event])
         if self.watcher is not None:
             for alert in self.watcher.feed_event(event):
                 self._record_alert(alert)
@@ -404,7 +328,7 @@ class ReliabilityService:
                     return
                 started = _clockmod.now()
                 response = await self._dispatch(request)
-                if isinstance(response, _EventTail):
+                if isinstance(response, EventStream):
                     await self._stream_events(writer, response)
                     return
                 elapsed = max(0.0, _clockmod.now() - started)
@@ -433,52 +357,29 @@ class ReliabilityService:
                 pass
 
     async def _stream_events(
-        self, writer: asyncio.StreamWriter, tail: _EventTail
+        self, writer: asyncio.StreamWriter, log: EventStream
     ) -> None:
-        """Write a tail's events as EOF-framed JSONL, following live."""
+        """Write a log's events as EOF-framed JSONL until it closes."""
         import json
 
         response = Response(content_type="application/jsonl")
         writer.write(response.head_bytes(content_length=None))
         await writer.drain()
-        if tail.job is not None:
-            job = tail.job
-            cursor = 0
-            while True:
-                events = job.events[cursor:]
-                if not events and tail.follow and not job.finished:
-                    events = await job.wait_events(cursor)
-                for event in events:
-                    writer.write(
-                        (json.dumps(event, sort_keys=True) + "\n").encode()
-                    )
-                cursor += len(events)
-                await writer.drain()
-                if not tail.follow or (
-                    job.finished and cursor >= len(job.events)
-                ):
-                    return
-        ring = tail.ring
-        assert ring is not None
         cursor = 0
         while True:
-            entries = ring.since(cursor)
-            if not entries and tail.follow and not ring.closed:
-                entries = await ring.wait(cursor)
-            for _, event in entries:
+            entries = await log.wait(cursor)
+            if not entries and log.closed:
+                return
+            for cursor, event in entries:
                 writer.write(
                     (json.dumps(event, sort_keys=True) + "\n").encode()
                 )
-            if entries:
-                cursor = entries[-1][0]
             await writer.drain()
-            if not tail.follow or (ring.closed and not ring.since(cursor)):
-                return
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    async def _dispatch(self, request: Request) -> "Response | _EventTail":
+    async def _dispatch(self, request: Request) -> "Response | EventStream":
         self.registry.counter("serve.requests").inc()
         path = request.path
         try:
@@ -490,7 +391,7 @@ class ReliabilityService:
                 return self._require_get(request) or self._monitor_endpoint()
             if path == "/events":
                 return self._require_get(request) or self._events_endpoint(
-                    request
+                    request, self.ring
                 )
             if path == "/alerts":
                 return self._require_get(request) or self._alerts_endpoint(
@@ -545,25 +446,29 @@ class ReliabilityService:
         registry = self._monitor_registry or active_registry()
         return Response.json(monitor_snapshot(registry, self.monitor))
 
-    def _events_endpoint(self, request: Request) -> "Response | _EventTail":
-        follow = request.query.get("follow", "1") != "0"
-        if not follow:
-            import json
+    @staticmethod
+    def _events_endpoint(
+        request: Request, log: EventStream
+    ) -> "Response | EventStream":
+        """A log as JSONL: a live tail, or its snapshot with ``?follow=0``.
 
-            body = "".join(
-                json.dumps(event, sort_keys=True) + "\n"
-                for event in self.ring.snapshot()
-            )
-            return Response(
-                body=body.encode(), content_type="application/jsonl"
-            )
-        return _EventTail(ring=self.ring)
+        Returning the log itself tells the connection loop to tail it.
+        """
+        if request.query.get("follow", "1") != "0":
+            return log
+        import json
+
+        body = "".join(
+            json.dumps(event, sort_keys=True) + "\n"
+            for event in log.snapshot()
+        )
+        return Response(body=body.encode(), content_type="application/jsonl")
 
     def _alerts_endpoint(self, request: Request) -> Response:
         """The watcher's state: active alerts + event tail with cursors.
 
         ``?since=N`` returns only alert events with ``seq > N`` (seqs
-        are absolute and monotone, like the event ring's); ``cursor``
+        are absolute and monotone, like the event log's); ``cursor``
         in the response is the highest seq included, ready to pass back.
         """
         if self.watcher is None:
@@ -705,7 +610,7 @@ class ReliabilityService:
                 fingerprint,
                 f"{kind}:{cache_key}",
             )
-            if len(self._identities) > 4 * self.config.result_cache_size:
+            if len(self._identities) > 4 * RESULT_CACHE_SIZE:
                 self._identities.clear()  # pathological spec churn
         return identity
 
@@ -795,7 +700,7 @@ class ReliabilityService:
     def _remember(self, key: str, result: dict[str, Any]) -> None:
         self._results[key] = result
         self._results.move_to_end(key)
-        while len(self._results) > self.config.result_cache_size:
+        while len(self._results) > RESULT_CACHE_SIZE:
             self._results.popitem(last=False)
 
     def _respond(
@@ -964,7 +869,7 @@ class ReliabilityService:
             }
         )
 
-    def _jobs_endpoint(self, request: Request) -> "Response | _EventTail":
+    def _jobs_endpoint(self, request: Request) -> "Response | EventStream":
         if request.method != "GET":
             return Response.error(405, "job endpoints are GET-only")
         rest = request.path[len("/v1/jobs/") :]
@@ -975,16 +880,5 @@ class ReliabilityService:
         if not tail:
             return Response.json(job.describe())
         if tail == "events":
-            follow = request.query.get("follow", "1") != "0"
-            if not follow:
-                import json
-
-                body = "".join(
-                    json.dumps(event, sort_keys=True) + "\n"
-                    for event in job.events
-                )
-                return Response(
-                    body=body.encode(), content_type="application/jsonl"
-                )
-            return _EventTail(job=job)
+            return self._events_endpoint(request, job.log)
         return Response.error(404, f"no route for {request.path}")

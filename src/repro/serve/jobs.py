@@ -1,25 +1,24 @@
 """Async job registry backing ``/v1/sweep`` and ``/v1/jobs/{id}``.
 
 A :class:`Job` is one long-running evaluation: it moves through
-``pending -> running -> done | failed``, accumulates a JSONL event
-stream (the same event dialect as :mod:`repro.obs.events` — one dict
-per lifecycle moment, stamped with the observability clock), and holds
-its result once finished.  :class:`JobStore` hands out sequential ids,
+``pending -> running -> done | failed``, records its events in an
+unbounded :class:`~repro.obs.events.EventStream` (one dict per
+lifecycle moment, stamped with the observability clock), and holds its
+result once finished.  :class:`JobStore` hands out sequential ids,
 bounds how many jobs may be live at once (admission back-pressure) and
 how many finished jobs are remembered (oldest evicted first).
 
-Events support *live* streaming: :meth:`Job.wait_events` returns new
-events past a cursor, blocking until more arrive or the job finishes,
-which the HTTP layer turns into a tail-follow JSONL response.
+Finishing or failing a job closes its log, so an HTTP tail following
+it with :meth:`EventStream.wait` ends after the last event.
 """
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs import clock as _clockmod
+from repro.obs.events import EventStream
 
 #: Finished jobs remembered for polling before eviction.
 DEFAULT_KEEP_FINISHED = 256
@@ -43,18 +42,19 @@ class Job:
     status: str = PENDING
     result: Any = None
     error: str | None = None
-    events: list[dict[str, Any]] = field(default_factory=list)
+    log: EventStream = field(default_factory=EventStream)
     #: Optional per-event callback; the service forwards job events
-    #: into its server-wide ring through this without the job knowing
+    #: into its server-wide log through this without the job knowing
     #: anything about the transport.
     on_event: Any = None
-
-    def __post_init__(self) -> None:
-        self._changed = asyncio.Condition()
 
     @property
     def finished(self) -> bool:
         return self.status in (DONE, FAILED)
+
+    @property
+    def events(self) -> list[dict[str, Any]]:
+        return self.log.events
 
     def emit(self, event_kind: str, **fields: Any) -> dict[str, Any]:
         """Append one event (obs-clock stamped) and wake streamers."""
@@ -64,10 +64,9 @@ class Job:
             "job": self.id,
             **fields,
         }
-        self.events.append(event)
+        self.log.append(event)
         if self.on_event is not None:
             self.on_event(event)
-        self._notify()
         return event
 
     def start(self) -> None:
@@ -78,41 +77,13 @@ class Job:
         self.result = result
         self.status = DONE
         self.emit("job.done", kind=self.kind)
+        self.log.close()
 
     def fail(self, error: str) -> None:
         self.error = error
         self.status = FAILED
         self.emit("job.failed", kind=self.kind, error=error)
-
-    def _notify(self) -> None:
-        async def wake() -> None:
-            async with self._changed:
-                self._changed.notify_all()
-
-        # emit() is called from event-loop coroutines; scheduling the
-        # wake as a task keeps it usable from plain (non-async) code.
-        try:
-            asyncio.get_running_loop().create_task(wake())
-        except RuntimeError:  # no loop: nothing can be waiting
-            pass
-
-    async def wait_events(
-        self, cursor: int, *, timeout: float = 10.0
-    ) -> list[dict[str, Any]]:
-        """Events past ``cursor``; blocks until some exist or finished.
-
-        Returns an empty list only when the job is finished (the
-        streamer's stop condition) or the ``timeout`` elapsed with no
-        news (the streamer then re-checks and keeps following).
-        """
-        if cursor < len(self.events) or self.finished:
-            return self.events[cursor:]
-        async with self._changed:
-            try:
-                await asyncio.wait_for(self._changed.wait(), timeout)
-            except asyncio.TimeoutError:
-                pass
-        return self.events[cursor:]
+        self.log.close()
 
     def describe(self) -> dict[str, Any]:
         """The polling view served by ``GET /v1/jobs/{id}``."""
@@ -120,7 +91,7 @@ class Job:
             "id": self.id,
             "kind": self.kind,
             "status": self.status,
-            "events": len(self.events),
+            "events": self.log.seq,
         }
         if self.status == DONE:
             payload["result"] = self.result

@@ -1,7 +1,23 @@
 """Load generation against a running reliability service.
 
-The harness behind ``benchmarks/loadgen.py``, the ``serve-cachehit-2k``
-benchmark, and the CI serve smoke.  Two drive modes:
+The harness behind ``python -m repro.serve.loadgen``, the
+``serve-cachehit-2k`` benchmark, and the CI serve smoke.  From the root
+of a checkout::
+
+    # throughput smoke: sustained cache-hit evaluations per second
+    PYTHONPATH=src python -m repro.serve.loadgen --url http://127.0.0.1:8080 \
+        --requests 5000 --concurrency 32 --min-throughput 1000 \
+        --out serve-load.json
+
+    # coalescing proof: 50 identical in-flight requests, exactly 1 solve
+    PYTHONPATH=src python -m repro.serve.loadgen --url http://127.0.0.1:8080 \
+        --coalesce-proof 50
+
+    # open-loop latency at a controlled offered load
+    PYTHONPATH=src python -m repro.serve.loadgen --url http://127.0.0.1:8080 \
+        --mode open --rate 500 --requests 2000
+
+Two drive modes:
 
 * **closed loop** — ``concurrency`` workers over persistent keep-alive
   connections, each firing its next request the moment the previous
@@ -250,7 +266,7 @@ async def coalesce_proof(
 
 
 # ----------------------------------------------------------------------
-# CLI (``benchmarks/loadgen.py`` is a thin shim over this)
+# CLI (``python -m repro.serve.loadgen``)
 # ----------------------------------------------------------------------
 _SOLVES_LINE_PATTERN = (
     r"^repro_serve_solve_executed_total ([0-9.eE+-]+)$"
@@ -354,7 +370,7 @@ async def main_async(args: Any) -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """The ``benchmarks/loadgen.py`` entry point (argparse + asyncio)."""
+    """The ``python -m repro.serve.loadgen`` entry point (argparse + asyncio)."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -397,3 +413,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
     return asyncio.run(main_async(args))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -67,8 +67,8 @@ class TestJob:
         async def go():
             job = Job(id="job-000001", kind="sweep")
             job.emit("one")
-            events = await job.wait_events(0)
-            assert [event["event"] for event in events] == ["one"]
+            entries = await job.log.wait(0)
+            assert [event["event"] for _, event in entries] == ["one"]
 
         asyncio.run(go())
 
@@ -81,9 +81,9 @@ class TestJob:
                 job.emit("late")
 
             task = asyncio.create_task(emitter())
-            events = await job.wait_events(0, timeout=5.0)
+            entries = await job.log.wait(0, timeout=5.0)
             await task
-            assert [event["event"] for event in events] == ["late"]
+            assert [event["event"] for _, event in entries] == ["late"]
 
         asyncio.run(go())
 
@@ -92,8 +92,21 @@ class TestJob:
             job = Job(id="job-000001", kind="sweep")
             job.start()
             job.finish(None)
-            events = await job.wait_events(len(job.events))
-            assert events == []
+            assert job.log.closed
+            entries = await job.log.wait(job.log.seq)
+            assert entries == []
+
+        asyncio.run(go())
+
+    def test_emit_without_a_tailer_schedules_no_task(self):
+        async def go():
+            job = Job(id="job-000001", kind="sweep")
+            before = asyncio.all_tasks()
+            job.start()
+            for index in range(100):
+                job.emit("sweep.point.done", index=index)
+            job.finish(None)
+            assert asyncio.all_tasks() == before
 
         asyncio.run(go())
 

@@ -113,42 +113,22 @@ class TestCoalesceProof:
         asyncio.run(go())
 
 
-class TestBenchmarksShim:
-    """``benchmarks/loadgen.py`` is deprecated but must stay faithful."""
+class TestModuleEntry:
+    def test_python_dash_m_help_prints_the_usage(self):
+        import os
+        import subprocess
+        import sys
 
-    SHIM = Path(__file__).resolve().parents[2] / "benchmarks" / "loadgen.py"
-
-    def _load_shim(self):
-        import importlib.util
-        import uuid
-
-        spec = importlib.util.spec_from_file_location(
-            f"loadgen_shim_{uuid.uuid4().hex}", self.SHIM
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.serve.loadgen", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
         )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_shim_warns_deprecation_pointing_at_the_package(self):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            self._load_shim()
-        deprecations = [
-            warning
-            for warning in caught
-            if issubclass(warning.category, DeprecationWarning)
-        ]
-        assert deprecations, "shim import must emit DeprecationWarning"
-        assert "repro.serve.loadgen" in str(deprecations[0].message)
-
-    def test_shim_main_is_the_packaged_main(self):
-        import warnings
-
-        from repro.serve import loadgen
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            module = self._load_shim()
-        assert module.main is loadgen.main
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning" not in done.stderr, done.stderr
+        assert done.stdout.startswith("usage:")
+        assert "--coalesce-proof" in done.stdout
