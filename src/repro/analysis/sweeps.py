@@ -9,19 +9,7 @@ from repro.engine import SweepPlan
 from repro.engine.tasks import expected_reliability
 from repro.errors import ParameterError
 from repro.nversion.conventions import OutputConvention
-from repro.perception.parameters import PerceptionParameters
-
-# Parameters that may be swept; anything else is almost certainly a typo.
-SWEEPABLE = {
-    "alpha",
-    "p",
-    "p_prime",
-    "mttc",
-    "mttf",
-    "mttr",
-    "rejuvenation_time_per_module",
-    "rejuvenation_interval",
-}
+from repro.perception.parameters import SWEEPABLE, PerceptionParameters
 
 
 @dataclass(frozen=True)

@@ -658,6 +658,7 @@ def _command_provision(args: argparse.Namespace) -> int:
 
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.serve import ReliabilityService, ServeConfig
 
@@ -681,12 +682,17 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         host, port = await service.start()
+        # SIGTERM (supervisors, CI) cancels the server like Ctrl-C does,
+        # so serve_until_cancelled() still stops the pool on the way out
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         print(f"repro serve listening on http://{host}:{port}", flush=True)
         await service.serve_until_cancelled()
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("repro serve: shut down", flush=True)
     return 0
 

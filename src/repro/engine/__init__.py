@@ -30,6 +30,7 @@ from repro.engine.hashing import (
     solver_cache_key,
 )
 from repro.engine.sweep import SweepPlan, chunk_points, resolve_jobs, sweep
+from repro.engine.sweep import run_captured
 
 __all__ = [
     "NetDigests",
@@ -48,6 +49,7 @@ __all__ = [
     "reliability_fingerprint",
     "resolve_jobs",
     "reward_cache_key",
+    "run_captured",
     "solver_cache_key",
     "sweep",
 ]

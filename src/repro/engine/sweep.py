@@ -16,12 +16,14 @@ substitute for serial ones:
 
 Observability rides the same rails.  When the parent runs under
 :func:`repro.obs.tracing`, every point executes inside an
-``engine.sweep.point`` span: inline for serial runs, and under a fresh
-per-point tracer inside each worker for parallel runs.  Workers ship
-their span records and a metrics snapshot back with the results; the
-parent grafts the per-point subtrees under its ``engine.sweep`` span in
-point order and merges the metrics, so ``jobs=4`` reassembles to the
-same normalized trace tree (and the same counter totals) as ``jobs=1``.
+``engine.sweep.point`` span: inline for serial runs, and through
+:func:`run_captured` inside each worker for parallel runs.  That one
+envelope — also behind the service's pooled solves and the batch
+simulator's chunks — hands back each point's value, span records,
+events and metrics snapshot; the parent grafts the per-point subtrees
+under its ``engine.sweep`` span in point order and merges the metrics
+(:meth:`Captured.absorb`), so ``jobs=4`` reassembles to the same
+normalized trace tree (and the same counter totals) as ``jobs=1``.
 The same holds for the :mod:`repro.obs.events` stream: the plan emits
 ``sweep.plan`` up front and ``sweep.point.start`` / ``sweep.point.done``
 around every point — inline when serial, captured per point in workers
@@ -39,7 +41,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -47,11 +49,12 @@ from repro.engine.cache import cache_settings, configure_cache
 from repro.errors import ParameterError
 from repro.obs import (
     clock_from_settings,
+    clock_settings,
     current_tracer,
     registry_override,
     span,
-    trace_settings,
     tracing,
+    tracing_active,
 )
 from repro.obs.events import current_stream, event_stream, events_active
 from repro.obs.events import emit as emit_event
@@ -84,62 +87,103 @@ def chunk_points(n_points: int, jobs: int, chunk_size: int | None = None) -> lis
     ]
 
 
+@dataclass
+class Captured:
+    """One :func:`run_captured` call's value and telemetry (picklable).
+
+    ``records``/``events`` are empty when the policy had that channel
+    off; ``seconds`` is the call's duration on its own clock.
+    """
+
+    value: Any
+    records: list[SpanRecord]
+    events: list[dict[str, Any]]
+    metrics: dict[str, Any]
+    seconds: float
+
+    def absorb(self, *, process: int, thread: int = 0) -> Any:
+        """Fold the capture into the calling context; return its value.
+
+        Spans land under the open span on lane ``(process, thread)``.
+        Absorbing in point (or chunk) order keeps the reassembly
+        independent of worker scheduling.
+        """
+        tracer = current_tracer()
+        if tracer is not None:
+            tracer.graft(self.records, process=process, thread=thread)
+        stream = current_stream()
+        if stream is not None:
+            stream.replay(self.events, process=process)
+        active_registry().merge(self.metrics)
+        return self.value
+
+
+def capture_policy() -> dict[str, Any]:
+    """The calling context's observability policy, for :func:`run_captured`."""
+    return {
+        "clock": clock_settings(),
+        "trace": tracing_active(),
+        "events": events_active(),
+    }
+
+
+def run_captured(
+    fn: Callable[..., Any],
+    args: tuple,
+    policy: dict[str, Any],
+    name: str,
+    **attrs: Any,
+) -> Captured:
+    """Run ``fn(*args)`` under its own clock, registry, tracer and stream.
+
+    The one capture path for pooled work: sweep points, served solves
+    and batch chunks.  ``policy`` is picklable (see
+    :func:`capture_policy`).  The clock is fresh — a manual one
+    restarts at its start — so the capture depends only on the call,
+    never on what else the worker ran; the call runs in a root span
+    ``name``/``attrs`` when tracing.  Context variables cross neither
+    ``run_in_executor`` nor a process boundary, hence all of it is
+    installed here, inside the worker.
+    """
+    clock = clock_from_settings(policy["clock"])
+    trace = tracing(clock=clock) if policy["trace"] else nullcontext()
+    events = event_stream(clock=clock) if policy["events"] else nullcontext()
+    with registry_override() as registry, trace as tracer, events as stream:
+        started = clock.now()
+        with span(name, **attrs):
+            value = fn(*args)
+        seconds = max(0.0, clock.now() - started)
+    return Captured(
+        value=value,
+        records=tracer.records if tracer is not None else [],
+        events=stream.events if stream is not None else [],
+        metrics=registry.snapshot(),
+        seconds=seconds,
+    )
+
+
+def _sweep_point(fn: Callable[..., Any], index: int, args: tuple) -> Any:
+    emit_event("sweep.point.start", index=index)
+    value = fn(*args)
+    emit_event("sweep.point.done", index=index)
+    return value
+
+
 def _run_chunk(
     fn: Callable[..., Any],
     chunk: list[tuple[int, tuple]],
     settings: dict[str, Any],
-    obs_settings: dict[str, Any],
-) -> tuple[
-    list[Any],
-    list[list[SpanRecord]],
-    list[list[dict[str, Any]]],
-    dict[str, Any],
-]:
-    """Worker entry point: replay the parent's policies, run the points.
-
-    Returns the point results plus — for observability reassembly — one
-    span record list and one event list per point (empty when the parent
-    had the corresponding channel off) and a snapshot of the metrics
-    this chunk produced.
-    """
+    policy: dict[str, Any],
+) -> list[Captured]:
+    """Worker entry: replay the parent's cache policy, capture each point."""
     configure_cache(**settings)
-    values: list[Any] = []
-    records: list[list[SpanRecord]] = []
-    point_events: list[list[dict[str, Any]]] = []
-    trace_on = bool(obs_settings.get("enabled"))
-    events_on = bool(obs_settings.get("events"))
-    with registry_override() as registry:
-        if trace_on or events_on:
-            for index, args in chunk:
-                # A fresh tracer/stream (and, for manual clocks, a fresh
-                # zeroed clock) per point: what gets captured depends
-                # only on the point itself, never on chunk boundaries.
-                with ExitStack() as stack:
-                    clock = clock_from_settings(obs_settings["clock"])
-                    tracer = (
-                        stack.enter_context(tracing(clock=clock))
-                        if trace_on
-                        else None
-                    )
-                    stream = (
-                        stack.enter_context(event_stream(clock=clock))
-                        if events_on
-                        else None
-                    )
-                    emit_event("sweep.point.start", index=index)
-                    with span("engine.sweep.point", index=index):
-                        values.append(fn(*args))
-                    emit_event("sweep.point.done", index=index)
-                records.append(tracer.records if tracer is not None else [])
-                point_events.append(
-                    stream.events if stream is not None else []
-                )
-        else:
-            values.extend(fn(*args) for _, args in chunk)
-            records.extend([] for _ in chunk)
-            point_events.extend([] for _ in chunk)
-        snapshot = registry.snapshot()
-    return values, records, point_events, snapshot
+    return [
+        run_captured(
+            _sweep_point, (fn, index, args), policy, "engine.sweep.point",
+            index=index,
+        )
+        for index, args in chunk
+    ]
 
 
 @dataclass
@@ -202,15 +246,13 @@ class SweepPlan:
                 sp.set(jobs=1)
                 results = []
                 for index, args in enumerate(self.points):
-                    emit_event("sweep.point.start", index=index)
                     with span("engine.sweep.point", index=index):
-                        results.append(self.fn(*args))
-                    emit_event("sweep.point.done", index=index)
+                        results.append(_sweep_point(self.fn, index, args))
                 return results
 
         chunks = chunk_points(len(self.points), jobs, chunk_size)
         settings = cache_settings()
-        obs_settings = {**trace_settings(), "events": events_active()}
+        policy = capture_policy()
         results: list[Any] = [None] * len(self.points)
         workers = min(jobs, len(chunks))
         emit_event(
@@ -222,9 +264,6 @@ class SweepPlan:
         )
         with span("engine.sweep", label=label, points=len(self.points)) as sp:
             sp.set(jobs=jobs, chunks=len(chunks))
-            tracer = current_tracer()
-            stream = current_stream()
-            registry = active_registry()
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 futures = [
                     executor.submit(
@@ -232,7 +271,7 @@ class SweepPlan:
                         self.fn,
                         [(i, self.points[i]) for i in chunk],
                         settings,
-                        obs_settings,
+                        policy,
                     )
                     for chunk in chunks
                 ]
@@ -240,29 +279,21 @@ class SweepPlan:
                 # submission order grafts point subtrees, replays point
                 # events and merges metrics in point order — independent
                 # of which worker finished first.
-                for chunk_number, (chunk, future) in enumerate(
-                    zip(chunks, futures)
+                for process, (chunk, future) in enumerate(
+                    zip(chunks, futures), 1
                 ):
-                    values, records, point_events, snapshot = future.result()
-                    process = chunk_number + 1
-                    for index, value in zip(chunk, values):
-                        results[index] = value
-                    if tracer is not None:
-                        for index, point_records in zip(chunk, records):
-                            tracer.graft(
-                                point_records, process=process, thread=index
-                            )
-                    if stream is not None:
-                        stream.emit(
-                            "sweep.worker.merge",
-                            process=process,
-                            start=chunk.start,
-                            stop=chunk.stop,
-                            points=len(chunk),
+                    captures = future.result()
+                    emit_event(
+                        "sweep.worker.merge",
+                        process=process,
+                        start=chunk.start,
+                        stop=chunk.stop,
+                        points=len(chunk),
+                    )
+                    for index, captured in zip(chunk, captures):
+                        results[index] = captured.absorb(
+                            process=process, thread=index
                         )
-                        for events in point_events:
-                            stream.replay(events, process=process)
-                    registry.merge(snapshot)
         return results
 
 

@@ -41,6 +41,18 @@ from repro.utils.validation import (
     check_probability,
 )
 
+#: Parameters that may be swept; anything else is almost certainly a typo.
+SWEEPABLE = {
+    "alpha",
+    "p",
+    "p_prime",
+    "mttc",
+    "mttf",
+    "mttr",
+    "rejuvenation_time_per_module",
+    "rejuvenation_interval",
+}
+
 
 @dataclass(frozen=True)
 class PerceptionParameters:

@@ -37,14 +37,16 @@ analogue of the engine cache's verified entries.
 from __future__ import annotations
 
 import asyncio
+import functools
+import os
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import __version__
-from repro.engine.cache import cache_settings
-from repro.engine.sweep import resolve_jobs
+from repro.engine.cache import cache_settings, configure_cache
+from repro.engine.sweep import capture_policy, resolve_jobs, run_captured
 from repro.errors import ReproError
 from repro.obs import clock as _clockmod
 from repro.obs.events import EventStream
@@ -52,6 +54,7 @@ from repro.obs.export import chrome_trace, openmetrics
 from repro.obs.manifest import collect_manifest
 from repro.obs.metrics import MetricsRegistry, active_registry
 from repro.obs.watch import WatchConfig, Watcher
+from repro.perception.parameters import SWEEPABLE
 from repro.serve.coalesce import Coalescer
 from repro.serve.http import (
     ProtocolError,
@@ -65,25 +68,16 @@ from repro.serve.monitorview import monitor_snapshot
 from repro.serve.ratelimit import RateLimiter
 from repro.serve.trace import PointTrace, TraceStore, assemble_trace
 from repro.serve.worker import (
+    PARAMETER_KEYS,
     WORKERS,
     SpecError,
     fingerprint_spec,
-    init_worker,
-    instrumented_worker,
     result_digest,
 )
 
-#: Parameters a sweep job may vary (the serve mirror of
-#: ``repro.analysis.sweeps.SWEEPABLE``, in request-spec vocabulary).
-SWEEPABLE_KEYS = (
-    "p",
-    "p_prime",
-    "alpha",
-    "mttc",
-    "mttf",
-    "mttr",
-    "interval",
-    "rejuvenation_time",
+#: Parameters a sweep job may vary: the spec keys of ``SWEEPABLE``.
+SWEEPABLE_KEYS = tuple(
+    key for key, attribute in PARAMETER_KEYS.items() if attribute in SWEEPABLE
 )
 
 _OPENMETRICS_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
@@ -226,8 +220,15 @@ class ReliabilityService:
         if self.config.executor == "process":
             self._executor = ProcessPoolExecutor(
                 max_workers=workers,
-                initializer=init_worker,
-                initargs=(cache_settings(),),
+                # workers replay the parent's cache policy (like sweeps)
+                initializer=functools.partial(
+                    configure_cache, **cache_settings()
+                ),
+            )
+            # fork the pool before any socket opens: a worker forked on
+            # a request inherits, and holds open, that client's socket
+            await asyncio.get_running_loop().run_in_executor(
+                self._executor, os.getpid
             )
         else:
             self._executor = ThreadPoolExecutor(max_workers=workers)
@@ -535,14 +536,13 @@ class ReliabilityService:
         if denial is not None:
             return denial
         spec = request.json()
-        collector: dict[str, Any] | None = None
-        trace_id: str | None = None
+        point: PointTrace | None = None
         if request.query.get("trace") not in (None, "", "0"):
             self._request_serial += 1
             trace_id = f"req-{self._request_serial:06d}"
-            collector = {}
+            point = PointTrace(index=0)
         try:
-            payload = await self._evaluate(kind, spec, collector=collector)
+            payload = await self._evaluate(kind, spec, point=point)
         except SpecError as error:
             return Response.error(400, str(error))
         except BackPressure as error:
@@ -556,21 +556,15 @@ class ReliabilityService:
             )
         except ReproError as error:
             return Response.error(422, f"{type(error).__name__}: {error}")
-        if trace_id is not None and collector is not None:
-            stored = self.traces.create(
+        if point is not None:
+            point.cache = payload["cache"]
+            self.traces.create(
                 trace_id,
                 name=f"serve.{kind}",
                 attrs={"request": trace_id, "kind": kind},
                 unit=self._trace_unit(),
                 points=1,
-            )
-            stored.points[0] = PointTrace(
-                index=0,
-                cache=payload["cache"],
-                records=collector.get("records", []),
-                queue_seconds=collector.get("queue_seconds", 0.0),
-                compute_seconds=collector.get("compute_seconds", 0.0),
-            )
+            ).points[0] = point
             payload = {
                 **payload,
                 "request": trace_id,
@@ -619,16 +613,17 @@ class ReliabilityService:
         kind: str,
         spec: dict[str, Any],
         *,
-        job: Job | None = None,
-        collector: "dict[str, Any] | None" = None,
+        point: PointTrace | None = None,
     ) -> dict[str, Any]:
         """The shared solve path: result cache -> coalescer -> executor.
 
-        ``collector`` (when given) requests span capture: if this call
-        ends up *executing* the work, the worker's span records and
-        queue/compute split land in it.  Cache hits and coalesced
-        followers leave it empty — their ``cache`` source is the trace
-        annotation.
+        The executing call runs the worker through ``run_captured``
+        and folds back what it measured: metrics into the service
+        registry, events (``cache.*``) into the server log before
+        ``serve.solve.done``, restamped on the server's clock.  A
+        ``point`` (when given) requests span capture: if this call
+        executes the work, the worker's records and queue/compute split
+        land in it; cache hits and coalesced followers leave it empty.
         """
         self.registry.counter(f"serve.{kind}.requests").inc()
         fingerprint, key = self._identity(kind, spec)
@@ -651,25 +646,31 @@ class ReliabilityService:
             )
 
         async def compute() -> dict[str, Any]:
-            worker = self.workers_table[kind]
-            obs = {
-                "trace": collector is not None,
-                "kind": kind,
-                "clock": _clockmod.clock_settings(),
+            # the server's clock; its log always takes the worker's events
+            policy = {
+                **capture_policy(), "trace": point is not None, "events": True
             }
             self._pending += 1
             self.registry.counter("serve.solve.executed").inc()
             self._emit("serve.solve.start", op=kind, fingerprint=fingerprint)
             started = _clockmod.now()
             try:
-                envelope = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, instrumented_worker, worker, spec, obs
+                captured = await asyncio.get_running_loop().run_in_executor(
+                    self._executor,
+                    functools.partial(run_captured, kind=kind),
+                    self.workers_table[kind],
+                    (spec,),
+                    policy,
+                    "serve.compute",
                 )
             finally:
                 self._pending -= 1
-            result = envelope["result"]
             elapsed = max(0.0, _clockmod.now() - started)
-            compute_seconds = envelope["compute_seconds"]
+            self.registry.merge(captured.metrics)
+            for event in captured.events:
+                self._forward_event({**event, "ts": _clockmod.now()})
+            result = captured.value
+            compute_seconds = captured.seconds
             queue_seconds = max(0.0, elapsed - compute_seconds)
             self.registry.histogram("serve.solve.seconds").observe(elapsed)
             self.registry.histogram(f"serve.{kind}.compute.seconds").observe(
@@ -678,10 +679,10 @@ class ReliabilityService:
             self.registry.histogram(f"serve.{kind}.queue.seconds").observe(
                 queue_seconds
             )
-            if collector is not None:
-                collector["records"] = envelope["records"]
-                collector["compute_seconds"] = compute_seconds
-                collector["queue_seconds"] = queue_seconds
+            if point is not None:
+                point.records = captured.records
+                point.compute_seconds = compute_seconds
+                point.queue_seconds = queue_seconds
             self._emit(
                 "serve.solve.done",
                 op=kind,
@@ -816,25 +817,16 @@ class ReliabilityService:
         async def point(index: int, value: float) -> None:
             async with semaphore:
                 job.emit("sweep.point.start", index=index)
-                collector: dict[str, Any] = {}
+                trace = PointTrace(index=index, attrs={"value": value})
                 payload = await self._evaluate(
-                    "solve",
-                    {**base, parameter: value},
-                    job=job,
-                    collector=collector,
+                    "solve", {**base, parameter: value}, point=trace
                 )
                 reliability = payload["result"]["expected_reliability"]
                 reliabilities[index] = reliability
+                trace.cache = payload["cache"]
                 # indexed assignment, not append: points land in grid
                 # order no matter how the semaphore scheduled them
-                stored.points[index] = PointTrace(
-                    index=index,
-                    attrs={"value": value},
-                    cache=payload["cache"],
-                    records=collector.get("records", []),
-                    queue_seconds=collector.get("queue_seconds", 0.0),
-                    compute_seconds=collector.get("compute_seconds", 0.0),
-                )
+                stored.points[index] = trace
                 job.emit(
                     "sweep.point.done",
                     index=index,

@@ -412,7 +412,15 @@ def main(argv: "list[str] | None" = None) -> int:
         help="write the latency-histogram artifact JSON to FILE",
     )
     args = parser.parse_args(argv)
-    return asyncio.run(main_async(args))
+    try:
+        return asyncio.run(main_async(args))
+    except OSError as error:
+        if error.filename is not None:  # --out, not the network
+            raise
+        import sys
+
+        print(f"error: cannot reach {args.url}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ for per-request traces: grafting reads the *live* tracer clock, and a
 server handles interleaved requests concurrently, so any live clock
 read would make the assembled trace depend on scheduling.  Instead the
 executor workers capture their spans under a private per-invocation
-clock (:func:`repro.serve.worker.instrumented_worker`) and this module
+clock (:func:`repro.engine.sweep.run_captured`) and this module
 assembles the finished request's trace as a **pure function** of those
 captured records — under a :class:`~repro.obs.clock.ManualClock` the
 resulting Chrome trace is byte-stable no matter how the event loop

@@ -26,7 +26,6 @@ import math
 from typing import TYPE_CHECKING, Any
 
 from repro.dspn.steady_state import METHODS
-from repro.engine.cache import configure_cache
 from repro.errors import ReproError
 from repro.perception.parameters import PerceptionParameters
 
@@ -186,54 +185,6 @@ def result_digest(result: dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # pool entry points (module-level: must survive pickling)
 # ----------------------------------------------------------------------
-def init_worker(cache_settings: dict[str, Any]) -> None:
-    """Pool initializer: replay the parent's cache policy (like sweeps)."""
-    configure_cache(**cache_settings)
-
-
-def instrumented_worker(
-    worker: Any, spec: dict[str, Any], obs: dict[str, Any]
-) -> dict[str, Any]:
-    """Run ``worker(spec)`` under per-request observability.
-
-    ``obs`` is the parent's picklable observability policy:
-    ``{"trace": bool, "kind": str, "clock": clock_settings()}``.  The
-    worker gets a **fresh private clock** from the settings (a manual
-    parent clock restarts at its configured start), so captured span
-    timestamps are a pure function of the worker's code path — never of
-    how the server interleaved concurrent requests.  Tracing is entered
-    *inside* this function because ``run_in_executor`` does not
-    propagate context variables; each pool thread/process therefore
-    gets an isolated tracer per invocation.
-
-    Returns ``{"result", "records", "compute_seconds"}`` — all plain
-    picklable data (``records`` is a list of
-    :class:`~repro.obs.tracer.SpanRecord`).
-    """
-    from repro.obs.clock import clock_from_settings
-    from repro.obs.tracer import span, tracing
-
-    clock = clock_from_settings(obs.get("clock") or {"kind": "monotonic"})
-    if not obs.get("trace"):
-        started = clock.now()
-        result = worker(spec)
-        return {
-            "result": result,
-            "records": [],
-            "compute_seconds": max(0.0, clock.now() - started),
-        }
-    with tracing(clock=clock) as tracer:
-        with span("serve.compute", kind=obs.get("kind", "solve")):
-            result = worker(spec)
-    root = tracer.records[0]
-    end = root.end if root.end is not None else root.start
-    return {
-        "result": result,
-        "records": tracer.records,
-        "compute_seconds": max(0.0, end - root.start),
-    }
-
-
 def solve_worker(spec: dict[str, Any]) -> dict[str, Any]:
     """Evaluate E[R_sys] for ``spec`` (one ``/v1/solve`` computation)."""
     evaluation = _evaluation(spec)

@@ -36,25 +36,27 @@ two produce identical trajectories.
 
 Groups are partitioned into fixed-size chunks.  The chunk is part of
 the schedule's identity, so ``jobs`` only changes *where* a chunk runs
-(inline or in a worker process), never what it computes; per-chunk
-metric registries merge in chunk order, making ``jobs=1`` and
-``jobs=4`` results identical.
+(inline or in a worker process), never what it computes; every chunk
+runs through :func:`repro.engine.sweep.run_captured` and its metrics
+(and any spans or events) fold back in chunk order, making ``jobs=1``
+and ``jobs=4`` results identical.
 """
 
 from __future__ import annotations
 
+import functools
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.sweep import capture_policy, run_captured
 from repro.errors import SimulationError
 from repro.monitor.core import HealthMonitor
 from repro.obs import counter as obs_counter
 from repro.obs import span
 from repro.obs.events import emit as emit_event
-from repro.obs.metrics import active_registry, registry_override
 from repro.perception.parameters import PerceptionParameters
 from repro.simulation.batch.monitor import (
     BatchMonitorConfig,
@@ -310,7 +312,6 @@ class _ChunkResult:
     outcomes: "np.ndarray | None"
     rejuvenations: "list[tuple[int, int, int]]"
     monitor: "BatchMonitorReport | None"
-    metrics_snapshot: "dict | None"
     round_errors: "np.ndarray | None" = None
     round_inconclusive: "np.ndarray | None" = None
     round_deviations: "np.ndarray | None" = None
@@ -567,22 +568,12 @@ def _simulate_chunk(config: BatchConfig, chunk_index: int) -> _ChunkResult:
         outcomes=outcomes,
         rejuvenations=rejuvenations,
         monitor=monitor.report() if monitor is not None else None,
-        metrics_snapshot=None,
         round_errors=round_errors,
         round_inconclusive=round_inconclusive,
         round_deviations=round_deviations,
         round_participants=round_participants,
         round_flagged=round_flagged,
     )
-
-
-def _chunk_task(config: BatchConfig, chunk_index: int) -> _ChunkResult:
-    """Worker entry: isolate the chunk's metrics so the parent can merge
-    registries in chunk order (jobs-invariant totals)."""
-    with registry_override() as registry:
-        result = _simulate_chunk(config, chunk_index)
-    result.metrics_snapshot = registry.snapshot()
-    return result
 
 
 def simulate_batch(config: BatchConfig, *, jobs: int = 1) -> BatchReport:
@@ -613,19 +604,25 @@ def simulate_batch(config: BatchConfig, *, jobs: int = 1) -> BatchReport:
         chunks=chunks,
         jobs=jobs,
     ):
+        # every chunk runs in its own capture, inline or in a worker,
+        # absorbed in chunk order: the counters are jobs-invariant
+        capture = functools.partial(
+            run_captured, _simulate_chunk,
+            policy=capture_policy(), name="sim.batch.chunk",
+        )
         if jobs == 1 or chunks == 1:
-            results = [_chunk_task(config, index) for index in range(chunks)]
+            captures = [capture((config, i), chunk=i) for i in range(chunks)]
         else:
             with ProcessPoolExecutor(max_workers=min(jobs, chunks)) as pool:
                 futures = [
-                    pool.submit(_chunk_task, config, index)
-                    for index in range(chunks)
+                    pool.submit(capture, (config, i), chunk=i)
+                    for i in range(chunks)
                 ]
-                results = [future.result() for future in futures]
-        registry = active_registry()
-        for result in results:  # merge in chunk order: jobs-invariant
-            if result.metrics_snapshot is not None:
-                registry.merge(result.metrics_snapshot)
+                captures = [future.result() for future in futures]
+        results = []
+        for index, captured in enumerate(captures):
+            result = captured.absorb(process=index + 1)
+            results.append(result)
             emit_event(
                 "sim.batch.chunk",
                 chunk=result.chunk_index,

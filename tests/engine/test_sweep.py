@@ -87,3 +87,47 @@ class TestSweepPlan:
 
     def test_sweep_convenience(self):
         assert sweep(_square_minus, [2.0, 3.0], jobs=2) == [4.0, 9.0]
+
+
+def _instrumented(value: int) -> int:
+    from repro.obs import counter, emit, span
+
+    counter("test.calls").inc()
+    emit("test.event", value=value)
+    with span("test.inner"):
+        return value + 1
+
+
+class TestRunCaptured:
+    def test_captures_every_channel_under_a_fresh_clock(self):
+        from repro.engine import run_captured
+        from repro.obs import ManualClock, active_registry, use_clock
+
+        with use_clock(ManualClock()):
+            policy = {
+                "clock": {"kind": "manual", "start": 0.0, "step": 1.0},
+                "trace": True,
+                "events": True,
+            }
+            first = run_captured(_instrumented, (4,), policy, "root", tag="x")
+            second = run_captured(_instrumented, (4,), policy, "root", tag="x")
+        assert first.value == 5
+        assert [r.name for r in first.records] == ["root", "test.inner"]
+        assert first.records[0].attrs == {"tag": "x"}
+        assert [e["event"] for e in first.events] == ["test.event"]
+        assert first.metrics["counters"] == {"test.calls": 1.0}
+        assert first.seconds > 0
+        # a fresh clock per call: the capture depends only on the call
+        assert first == second
+        # nothing leaked into the caller's registry
+        assert "test.calls" not in active_registry().counters
+
+    def test_channels_off_leave_records_and_events_empty(self):
+        from repro.engine import run_captured
+        from repro.obs import clock_settings
+
+        policy = {"clock": clock_settings(), "trace": False, "events": False}
+        captured = run_captured(_instrumented, (1,), policy, "root")
+        assert captured.value == 2
+        assert captured.records == [] and captured.events == []
+        assert captured.metrics["counters"] == {"test.calls": 1.0}

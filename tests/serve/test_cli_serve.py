@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import signal
 import socket
 import subprocess
 import sys
@@ -79,3 +81,59 @@ class TestServeCommand:
         finally:
             process.terminate()
             process.wait(timeout=10)
+            process.stdout.close()
+
+    def test_sigterm_shuts_down_cleanly_and_reaps_the_pool(self):
+        """SIGTERM stops the service like Ctrl-C: pool joined, line printed."""
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--executor", "process", "--workers", "1", "--no-cache"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+            start_new_session=True,  # its pool workers share its group
+        )
+        group = process.pid
+        try:
+            line = process.stdout.readline()
+            assert "repro serve listening on http://" in line
+            port = int(line.rsplit(":", 1)[1])
+            body = b'{"preset": "four"}'
+            payload = b""
+            address = ("127.0.0.1", port)
+            with socket.create_connection(address, timeout=60) as sock:
+                sock.sendall(
+                    b"POST /v1/solve HTTP/1.1\r\n"
+                    b"Content-Type: application/json\r\n"
+                    + f"Content-Length: {len(body)}\r\n".encode()
+                    + b"Connection: close\r\n\r\n"
+                    + body
+                )
+                while chunk := sock.recv(4096):
+                    payload += chunk
+            assert b"200 OK" in payload
+            assert b'"expected_reliability"' in payload
+
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+            output = process.stdout.read()
+            assert "repro serve: shut down" in output
+            # the server joined its pool: nothing of its group survives
+            deadline = time.monotonic() + 10
+            while True:
+                try:
+                    os.killpg(group, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a pool worker survived"
+                time.sleep(0.1)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+            try:
+                os.killpg(group, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.stdout.close()

@@ -132,3 +132,20 @@ class TestModuleEntry:
         assert "RuntimeWarning" not in done.stderr, done.stderr
         assert done.stdout.startswith("usage:")
         assert "--coalesce-proof" in done.stdout
+
+    def test_unreachable_server_is_one_error_line_and_exit_2(self, capsys):
+        import socket
+
+        from repro.serve.loadgen import main
+
+        with socket.socket() as probe:  # a port nobody listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        url = f"http://127.0.0.1:{port}"
+        for mode in (["--requests", "5"], ["--coalesce-proof", "3"]):
+            assert main(["--url", url, *mode]) == 2
+            captured = capsys.readouterr()
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1, captured.err
+            assert lines[0].startswith(f"error: cannot reach {url}")
+            assert "Traceback" not in captured.err
