@@ -22,6 +22,7 @@ Student-t 95 % confidence interval across replications.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,42 +236,56 @@ def _sample_trajectory(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One replication: the reward at each requested instant."""
+    values = np.empty(len(times))
+    cursor = 0
+    firings = 0
+    for marking, _, stop in _sojourns(net, rng):
+        # every requested instant before the next firing sees this marking
+        while cursor < len(times) and times[cursor] < stop:
+            values[cursor] = float(reward(marking))
+            cursor += 1
+        if cursor == len(times):
+            break
+        firings += 1
+    counter("dspn.simulate.events").inc(firings)
+    return values
+
+
+def _sojourns(
+    net: PetriNet, rng: np.random.Generator
+) -> Iterator[tuple[Marking, float, float]]:
+    """The enabling-memory event loop: ``(marking, start, stop)`` per sojourn.
+
+    ``marking`` is tangible and holds over ``[start, stop)``; ``stop``
+    is infinite in a dead marking, which ends the run.  The firing that
+    ends a sojourn is chosen only when the next sojourn is asked for, so
+    a consumer that stops early draws no random numbers for it.
+    """
     deterministics = net.deterministic_transitions()
     exponentials = net.exponential_transitions()
 
     marking = _resolve_immediates(net, net.initial_marking(), rng)
     clock = 0.0
+    # remaining time of each enabled deterministic transition
     remaining: dict[str, float] = {
         t.name: t.delay for t in deterministics if net.is_enabled(t, marking)
     }
-    values = np.empty(len(times))
-    cursor = 0
 
-    while cursor < len(times):
+    while True:
         enabled = [
             (t, net.enabling_degree(t, marking)) for t in exponentials
         ]
         enabled = [(t, d) for t, d in enabled if d > 0]
         total_rate = sum(t.rate_in(marking, d) for t, d in enabled)
-        det_candidates = list(remaining.items())
-        next_det = min(det_candidates, key=lambda item: item[1], default=None)
+        next_det = min(remaining.items(), key=lambda item: item[1], default=None)
 
         exp_dt = rng.exponential(1.0 / total_rate) if total_rate > 0 else math.inf
         det_dt = next_det[1] if next_det is not None else math.inf
         dt = min(exp_dt, det_dt)
         fire_time = clock + dt
-
-        # emit samples for every requested instant before the next firing
-        while cursor < len(times) and times[cursor] < fire_time:
-            values[cursor] = float(reward(marking))
-            cursor += 1
-        if cursor >= len(times):
-            break
+        yield marking, clock, fire_time
         if math.isinf(dt):
-            while cursor < len(times):
-                values[cursor] = float(reward(marking))
-                cursor += 1
-            break
+            return
 
         clock = fire_time
         if det_dt <= exp_dt:
@@ -282,6 +297,8 @@ def _sample_trajectory(
                 rng.choice(len(enabled), p=rates / rates.sum())
             ][0]
         marking = _resolve_immediates(net, net.fire(transition, marking), rng)
+
+        # update deterministic timers under enabling memory
         new_remaining: dict[str, float] = {}
         for det in deterministics:
             if not net.is_enabled(det, marking):
@@ -292,7 +309,6 @@ def _sample_trajectory(
             else:
                 new_remaining[det.name] = previously - dt
         remaining = new_remaining
-    return values
 
 
 def _resolve_immediates(
@@ -322,79 +338,15 @@ def _run_replication(
     warmup: float,
     rng: np.random.Generator,
 ) -> float:
-    exponentials = net.exponential_transitions()
-    deterministics = net.deterministic_transitions()
-
-    marking = _resolve_immediates(net, net.initial_marking(), rng)
-    clock = 0.0
     end = warmup + horizon
     accumulated = 0.0
-    events = 0
-    # remaining time of each enabled deterministic transition
-    remaining: dict[str, float] = {
-        t.name: t.delay for t in deterministics if net.is_enabled(t, marking)
-    }
-
-    while clock < end:
-        enabled_exponential = [
-            (t, net.enabling_degree(t, marking)) for t in exponentials
-        ]
-        enabled_exponential = [(t, d) for t, d in enabled_exponential if d > 0]
-        total_rate = sum(t.rate_in(marking, d) for t, d in enabled_exponential)
-
-        det_candidates = [
-            (name, time_left) for name, time_left in remaining.items()
-        ]
-        next_det = min(det_candidates, key=lambda item: item[1], default=None)
-
-        if total_rate <= 0.0 and next_det is None:
-            # dead marking: absorbing; accumulate reward until the end
-            accumulated += _reward_slice(reward, marking, clock, end, warmup)
-            clock = end
+    firings = 0
+    for marking, start, stop in _sojourns(net, rng):
+        accumulated += _reward_slice(reward, marking, start, min(stop, end), warmup)
+        if stop >= end:
             break
-
-        exp_dt = rng.exponential(1.0 / total_rate) if total_rate > 0 else math.inf
-        det_dt = next_det[1] if next_det is not None else math.inf
-        dt = min(exp_dt, det_dt)
-        fire_time = clock + dt
-
-        if fire_time >= end:
-            accumulated += _reward_slice(reward, marking, clock, end, warmup)
-            clock = end
-            break
-
-        accumulated += _reward_slice(reward, marking, clock, fire_time, warmup)
-        clock = fire_time
-
-        if det_dt <= exp_dt:
-            transition = next(
-                t for t in deterministics if t.name == next_det[0]
-            )
-            del remaining[transition.name]
-        else:
-            rates = np.array(
-                [t.rate_in(marking, d) for t, d in enabled_exponential]
-            )
-            transition = enabled_exponential[
-                rng.choice(len(enabled_exponential), p=rates / rates.sum())
-            ][0]
-
-        marking = _resolve_immediates(net, net.fire(transition, marking), rng)
-        events += 1
-
-        # update deterministic timers under enabling memory
-        new_remaining: dict[str, float] = {}
-        for det in deterministics:
-            if not net.is_enabled(det, marking):
-                continue
-            previously = remaining.get(det.name)
-            if previously is None or det.name == transition.name:
-                new_remaining[det.name] = det.delay
-            else:
-                new_remaining[det.name] = previously - dt
-        remaining = new_remaining
-
-    counter("dspn.simulate.events").inc(events)
+        firings += 1
+    counter("dspn.simulate.events").inc(firings)
     return accumulated / horizon
 
 

@@ -87,10 +87,12 @@ class StructureTier:
         if structure is None:
             self.misses += 1
             counter("engine.structure.misses").inc()
+            emit_event("cache.miss", lookup="structure")
             return None
         self._entries.move_to_end(key)
         self.hits += 1
         counter("engine.structure.hits").inc()
+        emit_event("cache.hit", lookup="structure", tier="memory")
         return structure
 
     def put(self, key: tuple[str, int], structure: TangibleStructure) -> None:
@@ -136,13 +138,17 @@ class SolverCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> Any | None:
-        """The cached value for ``key``, or None (counts hit/miss stats)."""
+    def get(self, key: str, lookup: str = "solution") -> Any | None:
+        """The cached value for ``key``, or None (counts hit/miss stats).
+
+        ``lookup`` names what is looked up — ``solution`` (a steady
+        state) or ``reward`` (an E[R]) — in the ``cache.*`` events.
+        """
         if key in self._entries:
             self._entries.move_to_end(key)
             self.hits += 1
             counter("engine.cache.hits").inc()
-            emit_event("cache.hit", tier="memory")
+            emit_event("cache.hit", lookup=lookup, tier="memory")
             return self._entries[key]
         value = self._load_from_disk(key)
         if value is not None:
@@ -151,11 +157,11 @@ class SolverCache:
             self.disk_hits += 1
             counter("engine.cache.hits").inc()
             counter("engine.cache.disk_hits").inc()
-            emit_event("cache.hit", tier="disk")
+            emit_event("cache.hit", lookup=lookup, tier="disk")
             return value
         self.misses += 1
         counter("engine.cache.misses").inc()
-        emit_event("cache.miss")
+        emit_event("cache.miss", lookup=lookup)
         return None
 
     def put(self, key: str, value: Any) -> None:

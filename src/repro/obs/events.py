@@ -18,8 +18,9 @@ Emitted events, in pipeline order:
   lifecycle (``index``);
 * ``sweep.worker.merge`` — the parent folded one worker chunk's
   results back in (``process``, ``start``, ``stop``, ``points``);
-* ``cache.hit`` / ``cache.miss`` / ``cache.reject`` — solver-cache
-  traffic (``tier``, ``reason``);
+* ``cache.hit`` / ``cache.miss`` / ``cache.reject`` — engine-cache
+  traffic (``lookup``: ``reward``/``solution``/``structure``;
+  ``tier``, ``reason``);
 * ``monitor.flag`` / ``monitor.unflag`` / ``monitor.rejuvenation`` —
   the runtime monitor's posterior crossings and issued rejuvenations
   (``module``, ``time``).

@@ -261,7 +261,7 @@ class Evaluation:
             cache = None if self.verify else active_cache()
             key = None if cache is None else self.key
             if key is not None:
-                hit = cache.get(key)
+                hit = cache.get(key, "reward")
                 if hit is not None:
                     # a measure, not an attr: per-process cache state
                     # differs between execution modes

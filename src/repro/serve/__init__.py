@@ -4,8 +4,8 @@
 (stdlib asyncio only — no new runtime dependencies):
 
 * :class:`ReliabilityService` / :class:`ServeConfig` — the server
-  (``repro serve`` on the CLI): request coalescing keyed on canonical
-  net fingerprints, per-client token-bucket rate limits, bounded-queue
+  (``repro serve`` on the CLI): request coalescing keyed on resolved
+  specs, per-client token-bucket rate limits, bounded-queue
   back-pressure, solver work on a ``ProcessPoolExecutor``, and every
   response stamped with a :class:`~repro.obs.manifest.RunManifest` plus
   a SHA-256 result digest;

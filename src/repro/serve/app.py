@@ -15,10 +15,12 @@ asyncio job server:
 
 Three mechanisms keep it standing under heavy traffic:
 
-* **request coalescing** — work is keyed by the spec's ``Evaluation``
-  key (:func:`fingerprint_spec`); N identical in-flight requests share
-  one solve and all receive the digest-verified result (``cache``
-  field: one ``miss``, N-1 ``coalesced``, later arrivals ``hit``);
+* **request coalescing** — work is keyed by the request kind and the
+  resolved spec (:func:`resolve_spec`), so every spelling of one model
+  is one key and the event loop never builds a net; N identical
+  in-flight requests share one solve and all receive the
+  digest-verified result (``cache`` field: one ``miss``, N-1
+  ``coalesced``, later arrivals ``hit``);
 * **back-pressure** — solver work beyond ``queue_limit`` in-flight
   computations (and sweep jobs beyond ``max_jobs`` live jobs) answers
   ``503`` + ``Retry-After`` instead of queueing unboundedly, and
@@ -40,6 +42,7 @@ import asyncio
 import functools
 import os
 from collections import OrderedDict
+from collections.abc import Hashable
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -71,7 +74,7 @@ from repro.serve.worker import (
     PARAMETER_KEYS,
     WORKERS,
     SpecError,
-    fingerprint_spec,
+    resolve_spec,
     result_digest,
 )
 
@@ -191,8 +194,7 @@ class ReliabilityService:
             )
         self.monitor = None  # attach_monitor() installs a controller
         self._monitor_registry: MetricsRegistry | None = None
-        self._results: OrderedDict[str, dict[str, Any]] = OrderedDict()
-        self._identities: dict[str, tuple[str, str]] = {}
+        self._results: OrderedDict[Hashable, dict[str, Any]] = OrderedDict()
         self._pending = 0
         self._request_serial = 0
         self._executor: ProcessPoolExecutor | ThreadPoolExecutor | None = None
@@ -585,29 +587,6 @@ class ReliabilityService:
             headers={"Retry-After": f"{retry_after:.3f}"},
         )
 
-    def _identity(self, kind: str, spec: dict[str, Any]) -> tuple[str, str]:
-        """``(fingerprint, coalescing key)`` of one request.
-
-        The fingerprint (and the spec's ``Evaluation`` key) is
-        memoized by the canonical spec JSON, so steady traffic pays a
-        dictionary lookup, not a net build, per request.
-        """
-        import json
-
-        canonical = f"{kind}|" + json.dumps(
-            spec, sort_keys=True, separators=(",", ":")
-        )
-        identity = self._identities.get(canonical)
-        if identity is None:
-            fingerprint, cache_key = fingerprint_spec(spec)
-            identity = self._identities[canonical] = (
-                fingerprint,
-                f"{kind}:{cache_key}",
-            )
-            if len(self._identities) > 4 * RESULT_CACHE_SIZE:
-                self._identities.clear()  # pathological spec churn
-        return identity
-
     async def _evaluate(
         self,
         kind: str,
@@ -617,23 +596,26 @@ class ReliabilityService:
     ) -> dict[str, Any]:
         """The shared solve path: result cache -> coalescer -> executor.
 
-        The executing call runs the worker through ``run_captured``
-        and folds back what it measured: metrics into the service
-        registry, events (``cache.*``) into the server log before
-        ``serve.solve.done``, restamped on the server's clock.  A
+        Both caches key on ``(kind, *resolve_spec(spec))``: equal for
+        every spelling of one model, and cheap enough for the event
+        loop, which never builds a net; the response's ``fingerprint``
+        is the one the worker's result carries.  The executing call
+        runs the worker through ``run_captured`` and folds back what it
+        measured: metrics into the service registry, events
+        (``cache.*``) into the server log before ``serve.solve.done``,
+        restamped on the server's clock.  A
         ``point`` (when given) requests span capture: if this call
         executes the work, the worker's records and queue/compute split
         land in it; cache hits and coalesced followers leave it empty.
         """
         self.registry.counter(f"serve.{kind}.requests").inc()
-        fingerprint, key = self._identity(kind, spec)
+        key = (kind, *resolve_spec(spec))
 
         cached = self._results.get(key)
         if cached is not None:
             self._results.move_to_end(key)
             self.registry.counter("serve.cache.hits").inc()
-            self._emit("serve.cache.hit", op=kind, fingerprint=fingerprint)
-            return self._respond(kind, "hit", fingerprint, cached)
+            return self._respond(kind, "hit", cached)
 
         if (
             not self.coalescer.is_inflight(key)
@@ -652,7 +634,7 @@ class ReliabilityService:
             }
             self._pending += 1
             self.registry.counter("serve.solve.executed").inc()
-            self._emit("serve.solve.start", op=kind, fingerprint=fingerprint)
+            self._emit("serve.solve.start", op=kind)
             started = _clockmod.now()
             try:
                 captured = await asyncio.get_running_loop().run_in_executor(
@@ -686,7 +668,7 @@ class ReliabilityService:
             self._emit(
                 "serve.solve.done",
                 op=kind,
-                fingerprint=fingerprint,
+                fingerprint=result.get("fingerprint"),
                 seconds=elapsed,
             )
             self._remember(key, result)
@@ -695,22 +677,21 @@ class ReliabilityService:
         result, coalesced = await self.coalescer.run(key, compute)
         source = "coalesced" if coalesced else "miss"
         self.registry.counter(f"serve.{source}").inc()
-        self._emit(f"serve.{source}", op=kind, fingerprint=fingerprint)
-        return self._respond(kind, source, fingerprint, result)
+        return self._respond(kind, source, result)
 
-    def _remember(self, key: str, result: dict[str, Any]) -> None:
+    def _remember(self, key: Hashable, result: dict[str, Any]) -> None:
         self._results[key] = result
         self._results.move_to_end(key)
         while len(self._results) > RESULT_CACHE_SIZE:
             self._results.popitem(last=False)
 
     def _respond(
-        self,
-        kind: str,
-        source: str,
-        fingerprint: str,
-        result: dict[str, Any],
+        self, kind: str, source: str, result: dict[str, Any]
     ) -> dict[str, Any]:
+        """The response body; emits ``serve.cache.hit``/``miss``/``coalesced``."""
+        fingerprint = result.get("fingerprint")
+        event = "serve.cache.hit" if source == "hit" else f"serve.{source}"
+        self._emit(event, op=kind, fingerprint=fingerprint)
         return {
             "kind": kind,
             "cache": source,
@@ -750,11 +731,12 @@ class ReliabilityService:
             for key, value in spec.items()
             if key not in ("parameter", "values")
         }
-        # Fail malformed base specs at admission, not inside the job.
-        try:
-            self._identity("solve", {**base, parameter: values[0]})
-        except SpecError as error:
-            return Response.error(400, str(error))
+        # Fail malformed specs at admission, not inside the job.
+        for value in values:
+            try:
+                resolve_spec({**base, parameter: value})
+            except SpecError as error:
+                return Response.error(400, str(error))
 
         job = self.jobs.create("sweep", spec)
         if job is None:

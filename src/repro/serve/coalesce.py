@@ -1,24 +1,23 @@
 """Request coalescing: identical in-flight work shares one computation.
 
 Under load, the common arrival pattern is many clients asking for the
-*same* evaluation — the same canonical net fingerprint — at once.  A
-naive server would dispatch every one of them to the worker pool and
-solve the same model N times; the :class:`Coalescer` dispatches the
-first (the **leader**) and parks the other N-1 (**followers**) on the
-leader's future, so exactly one solve runs and every caller receives
-the same digest-verified result.
+*same* evaluation at once.  A naive server would dispatch every one of
+them to the worker pool and solve the same model N times; the
+:class:`Coalescer` dispatches the first (the **leader**) and parks the
+other N-1 (**followers**) on the leader's future, so exactly one solve
+runs and every caller receives the same digest-verified result.
 
-Keys are opaque strings; the service keys on
-``(kind, net_fingerprint)`` from :func:`repro.engine.hashing.net_fingerprint`,
-so two requests coalesce exactly when the engine cache would consider
-them the same work.  Failures propagate to every waiter and the key is
-cleared either way, so a crashed leader never wedges a fingerprint.
+Keys are any hashable value; the service keys on the request kind and
+the resolved spec (``(kind, *resolve_spec(spec))``, see
+:func:`repro.serve.worker.resolve_spec`), so every spelling of one model
+coalesces.  Failures propagate to every waiter and the key is cleared
+either way, so a crashed leader never wedges a key.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections.abc import Awaitable, Callable
+from collections.abc import Awaitable, Callable, Hashable
 from typing import Any
 
 
@@ -26,7 +25,7 @@ class Coalescer:
     """Shares the result of one in-flight computation per key."""
 
     def __init__(self) -> None:
-        self._inflight: dict[str, asyncio.Future] = {}
+        self._inflight: dict[Hashable, asyncio.Future] = {}
 
     def __len__(self) -> int:
         return len(self._inflight)
@@ -35,11 +34,11 @@ class Coalescer:
         """Number of computations currently in flight."""
         return len(self._inflight)
 
-    def is_inflight(self, key: str) -> bool:
+    def is_inflight(self, key: Hashable) -> bool:
         return key in self._inflight
 
     async def run(
-        self, key: str, factory: Callable[[], Awaitable[Any]]
+        self, key: Hashable, factory: Callable[[], Awaitable[Any]]
     ) -> tuple[Any, bool]:
         """``(result, coalesced)`` — run ``factory`` or join the leader.
 

@@ -3,8 +3,9 @@
 The HTTP layer accepts small JSON *specs* naming a perception-system
 configuration (the same vocabulary as the CLI flags); this module turns
 a spec into :class:`~repro.perception.parameters.PerceptionParameters`
-(:func:`resolve_spec`), derives its identity (:func:`fingerprint_spec`
-— the key the coalescer and result cache share), and provides the
+(:func:`resolve_spec` — equal for every spelling of one model, so the
+service keys its coalescer and result cache on it), derives a spec's
+net identity (:func:`fingerprint_spec`), and provides the
 module-level functions the service ships to its ``ProcessPoolExecutor``
 (:func:`solve_worker`, :func:`verify_worker`).  All of them are calls
 onto one :class:`~repro.perception.evaluation.Evaluation` request, so
@@ -84,6 +85,10 @@ def resolve_spec(
 ) -> tuple[PerceptionParameters, int, str]:
     """``(parameters, max_states, method)`` for one request spec.
 
+    The triple is hashable, and equal for specs that name one model
+    (``{"preset": "six"}`` and the explicit six-version spec), without
+    building a net.
+
     Mirrors the CLI: ``preset`` (``"four"``/``"six"``) or ``versions``
     (+ ``f``/``r``/``rejuvenation``) selects the shape, the Table II
     keys override rates, and ``max_states``/``method`` tune the solve.
@@ -157,6 +162,9 @@ def _evaluation(spec: dict[str, Any], **options: Any) -> "Evaluation":
 
 def fingerprint_spec(spec: dict[str, Any]) -> tuple[str, str]:
     """``(fingerprint, cache_key)`` — the canonical identity of a spec.
+
+    It builds the spec's net; the service never calls it (the workers'
+    results carry both values), so it serves tests and benchmarks.
 
     The fingerprint is the engine's content-addressed net fingerprint,
     so two specs that *assemble the same model* (e.g. ``preset: six``

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.dspn import simulate, solve_steady_state
+from repro.dspn.simulate import replication_averages, transient_profile
 from repro.errors import SimulationError
+from repro.perception.evaluation import build_net
+from repro.perception.parameters import PerceptionParameters
+from repro.perception.statemap import module_counts
 from repro.petri import NetBuilder
 
 
@@ -97,3 +101,89 @@ class TestAbsorbingBehaviour:
         )
         # absorbed almost immediately; reward ~ 1 for the full horizon
         assert estimate.mean > 0.97
+
+
+class TestSeededOutputsPinned:
+    """Exact seeded outputs of every consumer of the event loop.
+
+    ``replication_averages``, ``simulate`` and ``transient_profile``
+    read one sojourn generator; a change to it that moves, adds or
+    drops a random draw changes these values.
+    """
+
+    @staticmethod
+    def _dead_net():
+        builder = NetBuilder("dead")
+        builder.place("Up", tokens=1).place("Down")
+        builder.exponential("fail", rate=0.3, inputs={"Up": 1}, outputs={"Down": 1})
+        return builder.build()
+
+    def test_simulate_two_state(self, two_state_net):
+        estimate = simulate(
+            two_state_net, reward=lambda m: float(m["Up"]), horizon=3000.0,
+            warmup=100.0, replications=4, seed=11,
+        )
+        assert estimate.mean == 0.9833827744904584
+        assert estimate.std == 0.0030476907344283576
+
+    def test_replication_averages(self, clocked_net, immediate_chain_net):
+        up = lambda m: float(m["Up"])  # noqa: E731
+        assert replication_averages(
+            clocked_net, reward=up, horizon=500.0, warmup=3.0,
+            replications=3, seed=7,
+        ) == [0.832, 0.872, 0.844]
+        assert replication_averages(
+            immediate_chain_net, reward=lambda m: float(m["C"]),
+            horizon=300.0, replications=2, seed=3,
+        ) == [0.6691436416441695, 0.6579171864708381]
+        assert replication_averages(
+            self._dead_net(), reward=up, horizon=50.0, warmup=1.0,
+            replications=3, seed=5,
+        ) == [0.1124446650674963, 0.06675692677322853, 0.0]
+
+    def test_replication_averages_perception_net(self):
+        net = build_net(PerceptionParameters.six_version_defaults())
+        healthy = lambda m: float(module_counts(m).healthy)  # noqa: E731
+        assert replication_averages(
+            net, reward=healthy, horizon=20000.0, replications=2, seed=1
+        ) == [4.554321943674798, 5.098285827495322]
+        profile = transient_profile(
+            net, reward=healthy, times=[0.0, 500.0, 5000.0, 20000.0],
+            replications=2, seed=4,
+        )
+        assert profile.means == (6.0, 6.0, 5.5, 5.0)
+
+    def test_transient_profile(self, clocked_net):
+        profile = transient_profile(
+            clocked_net, reward=lambda m: float(m["Up"]),
+            times=[0.5, 3.0, 11.0, 17.5, 40.0, 63.0], replications=12, seed=9,
+        )
+        assert profile.means == (
+            0.9166666666666666, 0.8333333333333334, 0.9166666666666666,
+            0.75, 0.9166666666666666, 1.0,
+        )
+        dead = transient_profile(
+            self._dead_net(), reward=lambda m: float(m["Up"]),
+            times=[0.0, 3.0, 100.0], replications=3, seed=2,
+        )
+        assert dead.means == (1.0, 0.3333333333333333, 0.0)
+
+    def test_events_count_the_firings_of_both(self, two_state_net):
+        # each replication here fires until its horizon; the transient
+        # profile's firings are counted on the same counter
+        from repro.obs import registry_override
+
+        with registry_override() as registry:
+            replication_averages(
+                two_state_net, reward=lambda m: 1.0, horizon=200.0,
+                replications=2, seed=1,
+            )
+            averaged = registry.counter("dspn.simulate.events").value
+            transient_profile(
+                two_state_net, reward=lambda m: 1.0, times=[200.0],
+                replications=2, seed=1,
+            )
+            total = registry.counter("dspn.simulate.events").value
+        assert averaged > 0
+        # the same seed and horizon fire the same transitions
+        assert total == 2 * averaged

@@ -240,6 +240,108 @@ class TestCoalescing:
         asyncio.run(go())
 
 
+class TestRequestKey:
+    """Both caches key on the resolved spec; no net is built in the server."""
+
+    SIX_EXPLICIT = {"versions": 6, "f": 1, "r": 1, "rejuvenation": True}
+
+    def test_equivalent_spellings_share_one_result_entry(self):
+        async def go():
+            async with running_service(fast_config()) as (service, host, port):
+                preset = await request(
+                    host, port, "POST", "/v1/solve", payload={"preset": "six"}
+                )
+                explicit = await request(
+                    host, port, "POST", "/v1/solve", payload=self.SIX_EXPLICIT
+                )
+                assert preset.json()["cache"] == "miss"
+                assert explicit.json()["cache"] == "hit"
+                assert explicit.json()["fingerprint"] == preset.json()["fingerprint"]
+                assert explicit.json()["digest"] == preset.json()["digest"]
+                assert len(service._results) == 1
+
+        asyncio.run(go())
+
+    def test_equivalent_spellings_coalesce(self):
+        release = threading.Event()
+        calls = []
+
+        def slow_worker(spec):
+            calls.append(spec)
+            release.wait(timeout=10.0)
+            return {"expected_reliability": 0.5}  # a double: no fingerprint
+
+        async def go():
+            async with running_service(
+                fast_config(), workers_table={"solve": slow_worker}
+            ) as (_, host, port):
+                leader = asyncio.create_task(
+                    request(
+                        host, port, "POST", "/v1/solve",
+                        payload={"preset": "six"},
+                    )
+                )
+                while not calls:
+                    await asyncio.sleep(0.01)
+                follower = asyncio.create_task(
+                    request(
+                        host, port, "POST", "/v1/solve",
+                        payload=self.SIX_EXPLICIT,
+                    )
+                )
+                await asyncio.sleep(0.05)
+                release.set()
+                first, second = await asyncio.gather(leader, follower)
+                assert len(calls) == 1
+                assert first.json()["cache"] == "miss"
+                assert second.json()["cache"] == "coalesced"
+                assert second.json()["fingerprint"] is None
+
+        asyncio.run(go())
+
+    def test_server_process_builds_no_net(self, monkeypatch):
+        """Solve, verify and a sweep job build every net in the pool."""
+        import repro.perception.evaluation as evaluation
+
+        built = []
+        original = evaluation.build_net
+
+        def counting_build_net(*args, **kwargs):
+            built.append(args)  # a forked worker appends to its own copy
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "build_net", counting_build_net)
+
+        async def go():
+            config = fast_config(executor="process", workers=1, watch=False)
+            async with running_service(config) as (_, host, port):
+                for path in ("/v1/solve", "/v1/verify"):
+                    response = await request(
+                        host, port, "POST", path, payload={"preset": "four"}
+                    )
+                    assert response.status == 200
+                    assert response.json()["fingerprint"]
+                accepted = await request(
+                    host, port, "POST", "/v1/sweep",
+                    payload={
+                        "preset": "four",
+                        "parameter": "mttc",
+                        "values": [100.0, 500.0],
+                    },
+                )
+                assert accepted.status == 202
+                poll = accepted.json()["poll"]
+                for _ in range(500):
+                    job = (await request(host, port, "GET", poll)).json()
+                    if job["status"] in ("done", "failed"):
+                        break
+                    await asyncio.sleep(0.02)
+                assert job["status"] == "done"
+
+        asyncio.run(go())
+        assert built == []
+
+
 class TestBackPressure:
     def test_queue_limit_answers_503_with_retry_after(self):
         release = threading.Event()
@@ -408,6 +510,23 @@ class TestSweepJobs:
                     )
                     assert response.status == 400, payload
                     assert needle in response.json()["error"]
+
+        asyncio.run(go())
+
+    def test_sweep_admission_checks_every_grid_value(self):
+        async def go():
+            async with running_service(fast_config()) as (service, host, port):
+                response = await request(
+                    host, port, "POST", "/v1/sweep",
+                    payload={
+                        "preset": "four",
+                        "parameter": "mttc",
+                        "values": [100, -5],
+                    },
+                )
+                assert response.status == 400
+                assert "mttc must be > 0" in response.json()["error"]
+                assert service.jobs.describe()["total"] == 0
 
         asyncio.run(go())
 

@@ -17,6 +17,7 @@ import pytest
 
 from repro.analysis.sweeps import SWEEPABLE
 from repro.engine.cache import cache_override
+from repro.engine.sweep import capture_policy, run_captured
 from repro.obs import registry_override
 from repro.obs.clock import ManualClock, use_clock
 from repro.serve.app import SWEEPABLE_KEYS
@@ -131,3 +132,33 @@ class TestWorkerEvents:
         assert inside == {
             i for i, kind in enumerate(kinds) if kind.startswith("cache.")
         }
+
+    def test_cache_events_name_the_lookup_that_missed(self):
+        # one cold spec, then a rate-only variant of it: the reward and
+        # solution tiers miss both times, the structure tier only once
+        policy = {**capture_policy(), "trace": False, "events": True}
+
+        def lookups(spec: dict) -> list[tuple]:
+            captured = run_captured(
+                solve_worker, (spec,), policy, "serve.compute", kind="solve"
+            )
+            return [
+                (event["event"], event["lookup"], event.get("tier"))
+                for event in captured.events
+            ]
+
+        with cache_override(enabled=True, directory=None):
+            cold = lookups(SPECS[1])
+            variant = lookups(SPECS[2])
+            repeat = lookups(SPECS[1])
+        assert cold == [
+            ("cache.miss", "reward", None),
+            ("cache.miss", "solution", None),
+            ("cache.miss", "structure", None),
+        ]
+        assert variant == [
+            ("cache.miss", "reward", None),
+            ("cache.miss", "solution", None),
+            ("cache.hit", "structure", "memory"),
+        ]
+        assert repeat == [("cache.hit", "reward", "memory")]
