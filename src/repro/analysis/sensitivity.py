@@ -27,10 +27,11 @@ from repro.perception.evaluation import (
     TIME_TRANSITIONS,
     Evaluation,
     default_reliability_function,
-    reliability_rewards,
+    distinct_states,
+    state_values,
 )
 from repro.perception.parameters import PerceptionParameters
-from repro.perception.statemap import module_counts
+from repro.perception.statemap import state_counts
 
 _DEFAULT_PARAMETERS = ("alpha", "p", "p_prime", "mttc", "mttf", "mttr")
 
@@ -72,8 +73,8 @@ def elasticities(
             )
     reliability = default_reliability_function(base, convention=convention)
     solution = Evaluation(base, reliability, max_states=max_states).solve()
-    counts = [module_counts(marking) for marking in solution.markings]
-    rewards = reliability_rewards(counts, reliability)[0]
+    states, index = distinct_states(state_counts(solution.markings))
+    rewards = state_values(states, reliability)[index]
     expected = float(solution.pi @ rewards)
     structure, values = solution.graph.structure, solution.graph.values
     transitions = np.asarray(structure.edge_transition)
@@ -82,7 +83,7 @@ def elasticities(
     def rewards_at(name: str, value: float) -> np.ndarray:
         changed = base.replace(**{name: value})
         function = default_reliability_function(changed, convention=convention)
-        return reliability_rewards(counts, function)[0]
+        return state_values(states, function)[index]
 
     results: list[Elasticity] = []
     for name in parameters:

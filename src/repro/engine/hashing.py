@@ -55,7 +55,11 @@ FINGERPRINT_VERSION = 1
 #: subordinated generator's component order, which reorders sums and
 #: moves π by ~1e-15; a revision-2 entry would no longer be
 #: bit-identical to a fresh solve.
-SOLVER_REVISION = 3
+#: Revision 4: a capacitated place counts what a firing takes from it
+#: as well as what the firing puts there, so a test arc on a full place
+#: is enabled (a different state space for such nets), and a LAPACK
+#: solve records ``fill`` = n² instead of the RCM estimate.
+SOLVER_REVISION = 4
 
 #: Token-count levels used for the single-place probe markings.
 _PROBE_LEVELS = (1, 2, 5)

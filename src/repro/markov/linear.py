@@ -19,11 +19,14 @@ the same LU:
    accurate entry by entry even where π spans hundreds of decades.
 3. **Factor once, solve, normalize.**
 
-The factorization is chosen by one structural estimate, the fill
-``2 × envelope`` of the reverse Cuthill–McKee ordered pattern (see
-:func:`fill_estimate`): dense LAPACK LU for small systems,
+Small systems (at most :data:`_DENSE_STATES` states) are factored by
+dense LAPACK LU, which needs no ordering.  Above that the factorization
+is chosen by one structural estimate, the fill ``2 × envelope`` of the
+reverse Cuthill–McKee ordered pattern (see :func:`fill_estimate`):
 SuperLU (minimum-degree order) up to :data:`FILL_BUDGET`, and ILU-
 preconditioned GMRES in the RCM order with the same anchor above it.
+The RCM order is computed only for these routes (and for a fallback
+from LAPACK to GMRES).
 
 The anchor starts at the state with the smallest exit rate; a solve
 whose largest entry exceeds :data:`_ANCHOR_SPREAD` × the anchor's is
@@ -107,7 +110,9 @@ class SparseSolveInfo:
     reordering: str = "none"  # "mmd" | "rcm" | "none"
     fallback: bool = False  # True when a route fell back to another
     factorization: str = "lapack"  # "lapack" | "superlu" | "ilu-gmres" | "power"
-    fill: int = 0  # the structural fill estimate of the recurrent class
+    # the recurrent class's structural LU fill estimate; n² on the LAPACK
+    # route, which stores the dense LU and computes no estimate
+    fill: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -213,6 +218,21 @@ def choose_factorization(n: int, fill: int) -> str:
     return "superlu" if fill <= FILL_BUDGET else "ilu-gmres"
 
 
+def _plan(q_rr: sp.csr_array, solver: str = "auto") -> tuple[str, int, np.ndarray | None]:
+    """``(factorization, fill, order)`` for one recurrent class.
+
+    The LAPACK route reads no order, so there ``order`` is ``None`` and
+    ``fill`` is ``n²``, what a dense LU stores; every other route gets
+    :func:`fill_estimate`'s fill and RCM order.
+    """
+    n = q_rr.shape[0]
+    forced = {"gmres": "ilu-gmres", "power": "power"}.get(solver)
+    if forced is None and n <= _DENSE_STATES:
+        return "lapack", n * n, None
+    fill, order = fill_estimate(q_rr)
+    return forced or choose_factorization(n, fill), fill, order
+
+
 def stationary_solve(
     generator: Any,
     *,
@@ -280,10 +300,7 @@ def _solve_recurrent(
     Returns the unnormalized ``x`` and its record; the caller rejects a
     record whose residual misses ``bar``.
     """
-    fill, order = fill_estimate(q_rr)
-    factorization = {"gmres": "ilu-gmres", "power": "power"}.get(solver)
-    if factorization is None:
-        factorization = choose_factorization(q_rr.shape[0], fill)
+    factorization, fill, order = _plan(q_rr, solver)
     record = {**record, "fill": fill}
     anchor = int(np.argmax(q_rr.diagonal()))  # the smallest exit rate
     direct = _direct_solver(q_rr, order, factorization)
@@ -305,6 +322,8 @@ def _solve_recurrent(
             )
     info = None
     if factorization != "power":
+        if order is None:  # a LAPACK breakdown: GMRES needs the RCM order
+            order = fill_estimate(q_rr)[1]
         x, info = _krylov(q_rr, order, anchor, bar, target, record)
     if info is None:
         x, info = _power(q_rr, bar, target, record)
@@ -336,7 +355,7 @@ def _normalized_residual(x: np.ndarray, generator: sp.csr_array) -> float:
 
 
 def _direct_solver(
-    q_rr: sp.csr_array, order: np.ndarray, factorization: str
+    q_rr: sp.csr_array, order: np.ndarray | None, factorization: str
 ) -> Callable[..., np.ndarray] | None:
     """``solve(anchor, rhs=None)`` by one LU of the anchored system.
 
@@ -577,8 +596,7 @@ def solve_poisson(
     if recurrent.size < 2:
         return h
     q_rr = sp.csr_array(q[recurrent][:, recurrent])
-    fill, order = fill_estimate(q_rr)
-    factorization = choose_factorization(q_rr.shape[0], fill)
+    factorization, _, order = _plan(q_rr)
     solve = _direct_solver(
         q_rr, order, "superlu" if factorization == "ilu-gmres" else factorization
     )

@@ -232,6 +232,15 @@ class GeneralizedReliability:
         _check_state(self.n_modules, healthy, compromised, unavailable)
         return float(self.table[healthy, compromised])
 
+    def values(self, states: np.ndarray) -> np.ndarray:
+        """``R`` of each (i, j, k) row of an integer ``(m, 3)`` array, in
+        one gather from :attr:`table`; the first row a call would reject
+        raises the same :class:`ParameterError`."""
+        invalid = (states < 0).any(axis=1) | (states.sum(axis=1) != self.n_modules)
+        if invalid.any():
+            _check_state(self.n_modules, *states[np.argmax(invalid)].tolist())
+        return self.table[states[:, 0], states[:, 1]]
+
     @cached_property
     def table(self) -> np.ndarray:
         """Read-only ``R[i, j] = R_{i, j, N-i-j}``, NaN where ``i + j > N``.

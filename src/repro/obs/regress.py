@@ -94,6 +94,22 @@ def _bench_reachability() -> None:
         tangible_reachability(build_no_rejuvenation_net(parameters))
 
 
+def _bench_reachability_rejuvenation() -> None:
+    """Cold exploration and elimination of the N=14, r=2 rejuvenation net.
+
+    1260 markings, 671 of them vanishing: the guards, marking-dependent
+    weights and arc weights, priority levels and vanishing elimination
+    that the clockless ``reachability-32x10`` never reaches.
+    """
+    from repro.perception.parameters import PerceptionParameters
+    from repro.perception.rejuvenation import build_rejuvenation_net
+    from repro.statespace import tangible_reachability
+
+    parameters = PerceptionParameters(n_modules=14, f=1, r=2, rejuvenation=True)
+    for _ in range(5):
+        tangible_reachability(build_rejuvenation_net(parameters))
+
+
 def _bench_simulate() -> None:
     from repro.dspn import simulate
     from repro.perception.parameters import PerceptionParameters
@@ -277,6 +293,7 @@ BENCH_SUITE: dict[str, Callable[[], None]] = {
     "solve-ctmc-16x10": _bench_solve_ctmc,
     "solve-mrgp-12": _bench_solve_mrgp,
     "reachability-32x10": _bench_reachability,
+    "reachability-rejuv-14r2x5": _bench_reachability_rejuvenation,
     "simulate-6v": _bench_simulate,
     "table2-defaults-x5": _bench_table2,
     "phase-diagram": _bench_phase_diagram,

@@ -13,7 +13,6 @@ the generalized enumeration for every other configuration.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -39,7 +38,7 @@ from repro.obs import span
 from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
 from repro.perception.rejuvenation import build_rejuvenation_net
-from repro.perception.statemap import ModuleCounts, module_counts
+from repro.perception.statemap import ModuleCounts, state_counts
 from repro.petri.net import PetriNet
 
 
@@ -92,18 +91,43 @@ class EvaluationResult:
     ----------
     expected_reliability:
         The scalar E[R_sys].
-    state_probabilities:
-        Steady-state probability aggregated per (i, j, k) module state.
-    state_reliability:
-        The reliability function value per module state.
     solution:
         The underlying DSPN steady-state solution (per-marking detail).
+    states:
+        The distinct (i, j, k) module states, an ``(m, 3)`` int64 array
+        in order of first appearance among the markings.
+    state_index:
+        For each marking, the row of its state in :attr:`states`.
+    values:
+        The reliability function value of each row of :attr:`states`.
+
+    :attr:`state_probabilities` and :attr:`state_reliability` are the
+    same data as dicts keyed by :class:`ModuleCounts`, built when read.
     """
 
     expected_reliability: float
-    state_probabilities: dict[ModuleCounts, float]
-    state_reliability: dict[ModuleCounts, float]
     solution: SteadyStateResult
+    states: np.ndarray
+    state_index: np.ndarray
+    values: np.ndarray
+
+    @cached_property
+    def state_probabilities(self) -> dict[ModuleCounts, float]:
+        """Steady-state probability aggregated per (i, j, k) module state,
+        each sum taken in marking order."""
+        sums = np.bincount(
+            self.state_index, weights=self.solution.pi, minlength=len(self.states)
+        )
+        return dict(zip(self._keys, sums.tolist()))
+
+    @cached_property
+    def state_reliability(self) -> dict[ModuleCounts, float]:
+        """The reliability function value per module state."""
+        return dict(zip(self._keys, self.values.tolist()))
+
+    @property
+    def _keys(self) -> list[ModuleCounts]:
+        return [ModuleCounts(*state) for state in self.states.tolist()]
 
     def top_states(self, limit: int = 10) -> list[tuple[ModuleCounts, float, float]]:
         """(state, probability, reliability) sorted by probability."""
@@ -138,22 +162,40 @@ TIME_TRANSITIONS = {
 }
 
 
-def reliability_rewards(
-    counts: Sequence[ModuleCounts], reliability: ReliabilityFunction
-) -> tuple[np.ndarray, dict[ModuleCounts, float]]:
-    """Eq. 1's reward vector ``R(i, j, k)`` over markings with ``counts``.
+def distinct_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct, index)`` of an ``(n, 3)`` (i, j, k) array.
 
-    Each distinct (i, j, k) is evaluated once; returns the vector and
-    that per-state table.
+    ``distinct`` holds each state once, in order of first appearance;
+    ``states[m]`` is ``distinct[index[m]]``.
     """
-    table: dict[ModuleCounts, float] = {}
-    rewards = np.empty(len(counts), dtype=float)
-    for index, state in enumerate(counts):
-        value = table.get(state)
-        if value is None:
-            value = table[state] = float(reliability(*state))
-        rewards[index] = value
-    return rewards, table
+    width = int(states.max()) + 1 if len(states) else 1
+    keys = (states[:, 0] * width + states[:, 1]) * width + states[:, 2]
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return states[first[order]], rank[index.reshape(-1)]
+
+
+def state_values(distinct: np.ndarray, reliability: ReliabilityFunction) -> np.ndarray:
+    """``R(i, j, k)`` of each row of ``distinct``: one
+    :meth:`GeneralizedReliability.values` gather, or one call per row
+    of any other function."""
+    if isinstance(reliability, GeneralizedReliability):
+        return reliability.values(distinct)
+    return np.array(
+        [float(reliability(*state)) for state in distinct.tolist()], dtype=float
+    )
+
+
+def reliability_rewards(
+    states: np.ndarray, reliability: ReliabilityFunction
+) -> np.ndarray:
+    """Eq. 1's reward vector ``R(i, j, k)`` over markings with (i, j, k)
+    ``states`` (an :func:`~repro.perception.statemap.state_counts` array);
+    each distinct state is evaluated once."""
+    distinct, index = distinct_states(states)
+    return state_values(distinct, reliability)[index]
 
 
 @dataclass(frozen=True)
@@ -234,21 +276,17 @@ class Evaluation:
     def result(self) -> EvaluationResult:
         """The full Eq. 1 evaluation (computed on first use)."""
         solution = self.solve()
-        state_probabilities: dict[ModuleCounts, float] = {}
         with span("dspn.rewards", markings=len(solution.pi)):
-            counts = [module_counts(marking) for marking in solution.markings]
-            rewards, state_reliability = reliability_rewards(counts, self.reliability)
-            for state, probability in zip(counts, solution.pi):
-                state_probabilities[state] = state_probabilities.get(
-                    state, 0.0
-                ) + float(probability)
+            states, index = distinct_states(state_counts(solution.markings))
+            values = state_values(states, self.reliability)
             # Same contraction as SteadyStateResult.expected_reward (Eq. 1).
-            expected = float(solution.pi @ rewards)
+            expected = float(solution.pi @ values[index])
         return EvaluationResult(
             expected_reliability=expected,
-            state_probabilities=state_probabilities,
-            state_reliability=state_reliability,
             solution=solution,
+            states=states,
+            state_index=index,
+            values=values,
         )
 
     def expected_reliability(self) -> float:

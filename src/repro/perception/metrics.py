@@ -33,7 +33,7 @@ from repro.perception.evaluation import (
 )
 from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
-from repro.perception.statemap import module_counts
+from repro.perception.statemap import state_counts
 from repro.statespace import TangibleGraph
 
 
@@ -54,11 +54,8 @@ def _clockless_ctmc(parameters: PerceptionParameters):
 
 def _quorum_lost_states(graph: TangibleGraph, parameters: PerceptionParameters):
     threshold = parameters.voting_scheme.threshold
-    return [
-        index
-        for index, marking in enumerate(graph.markings)
-        if module_counts(marking).operational < threshold
-    ]
+    states = state_counts(graph.markings)
+    return np.flatnonzero(states[:, 0] + states[:, 1] < threshold).tolist()
 
 
 def mean_time_to_quorum_loss(parameters: PerceptionParameters) -> float:
@@ -110,8 +107,7 @@ def expected_misperceptions(
     if reliability is None:
         reliability = default_reliability_function(parameters)
     graph, chain = _clockless_ctmc(parameters)
-    counts = [module_counts(marking) for marking in graph.markings]
-    rewards = reliability_rewards(counts, reliability)[0]
+    rewards = reliability_rewards(state_counts(graph.markings), reliability)
     initial = np.asarray(graph.initial_distribution, dtype=float)
     accumulated_reliability = chain.accumulated_reward(initial, rewards, mission_time)
     return request_rate * (mission_time - accumulated_reliability)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
+
+import numpy as np
 
 from repro.perception.fleet import PLACE_MAINTENANCE
 from repro.perception.no_rejuvenation import (
@@ -49,4 +52,27 @@ def module_counts(marking: Marking) -> ModuleCounts:
         healthy=marking[PLACE_HEALTHY],
         compromised=marking[PLACE_COMPROMISED],
         unavailable=marking[PLACE_FAILED] + rejuvenating + maintained,
+    )
+
+
+def state_counts(markings: Sequence[Marking]) -> np.ndarray:
+    """The (i, j, k) of every marking as an ``(n, 3)`` int64 array.
+
+    Row ``m`` is ``module_counts(markings[m])``, read from the markings'
+    count tuples in one pass; the markings share one net's places.
+    """
+    if not markings:
+        return np.zeros((0, 3), dtype=np.int64)
+    position = markings[0].place_index
+    tokens = np.array([marking.counts for marking in markings], dtype=np.int64)
+    unavailable = tokens[:, position[PLACE_FAILED]]
+    for place in (PLACE_REJUVENATING, PLACE_MAINTENANCE):
+        if place in position:
+            unavailable = unavailable + tokens[:, position[place]]
+    return np.column_stack(
+        (
+            tokens[:, position[PLACE_HEALTHY]],
+            tokens[:, position[PLACE_COMPROMISED]],
+            unavailable,
+        )
     )

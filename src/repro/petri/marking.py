@@ -53,6 +53,11 @@ class Marking(Mapping[str, int]):
         """Raw token counts in place-index order."""
         return self._counts
 
+    @property
+    def place_index(self) -> Mapping[str, int]:
+        """The name→position mapping :attr:`counts` is ordered by."""
+        return self._index
+
     def __getitem__(self, name: str) -> int:
         return self._counts[self._index[name]]
 

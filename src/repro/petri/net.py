@@ -6,6 +6,7 @@ from collections.abc import Iterable, Mapping
 
 from repro.errors import ModelDefinitionError
 from repro.petri.arc import Arc, ArcKind, MultiplicityLike
+from repro.petri.firing import CompiledNet, compile_net
 from repro.petri.marking import Marking
 from repro.petri.place import Place
 from repro.petri.transition import (
@@ -41,6 +42,7 @@ class PetriNet:
         self._outputs: dict[str, list[Arc]] = {}
         self._inhibitors: dict[str, list[Arc]] = {}
         self._place_index: dict[str, int] = {}
+        self._compiled: CompiledNet | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -54,6 +56,7 @@ class PetriNet:
                 f"name {place.name!r} already used by a transition"
             )
         self._places[place.name] = place
+        self._compiled = None
         self._place_index[place.name] = len(self._place_index)
         return place
 
@@ -66,6 +69,7 @@ class PetriNet:
                 f"name {transition.name!r} already used by a place"
             )
         self._transitions[transition.name] = transition
+        self._compiled = None
         self._inputs[transition.name] = []
         self._outputs[transition.name] = []
         self._inhibitors[transition.name] = []
@@ -84,6 +88,7 @@ class PetriNet:
         if transition not in self._transitions:
             raise ModelDefinitionError(f"arc references unknown transition {transition!r}")
         arc = Arc(place, transition, kind, multiplicity)
+        self._compiled = None
         self._arcs.append(arc)
         registry = {
             ArcKind.INPUT: self._inputs,
@@ -168,36 +173,22 @@ class PetriNet:
         """Build an arbitrary marking of this net from a partial mapping."""
         return Marking.from_dict(self._place_index, tokens)
 
+    def compiled(self) -> CompiledNet:
+        """The firing rules of every transition (:mod:`repro.petri.firing`),
+        compiled on first use after the last structural change."""
+        if self._compiled is None:
+            self._compiled = compile_net(self)
+        return self._compiled
+
     def enabling_degree(self, transition: Transition, marking: Marking) -> int:
         """Number of times ``transition`` could fire concurrently.
 
         Returns 0 when the transition is disabled (insufficient input
-        tokens, inhibition, unsatisfied guard, or capacity overflow on an
-        output place).
+        tokens, inhibition, unsatisfied guard, or a firing that would
+        leave an output place above its capacity).
         """
-        if not transition.guard_satisfied(marking):
-            return 0
-        for arc in self._inhibitors[transition.name]:
-            if marking[arc.place] >= arc.multiplicity_in(marking):
-                return 0
-        degree: int | None = None
-        for arc in self._inputs[transition.name]:
-            needed = arc.multiplicity_in(marking)
-            if needed == 0:
-                continue
-            available = marking[arc.place] // needed
-            degree = available if degree is None else min(degree, available)
-            if degree == 0:
-                return 0
-        if degree is None:
-            degree = 1  # no token-consuming inputs: guard-only transition
-        for arc in self._outputs[transition.name]:
-            place = self._places[arc.place]
-            if place.capacity is not None:
-                produced = arc.multiplicity_in(marking)
-                if produced and marking[arc.place] + produced > place.capacity:
-                    return 0
-        return degree
+        rule = self.compiled().rules[transition.name]
+        return rule.degree(marking.counts, marking)
 
     def is_enabled(self, transition: Transition, marking: Marking) -> bool:
         """Whether ``transition`` may fire in ``marking``."""
@@ -214,16 +205,12 @@ class PetriNet:
         the *source* marking, matching the usual DSPN tool semantics for
         marking-dependent arc weights.
         """
-        if not self.is_enabled(transition, marking):
+        rule = self.compiled().rules[transition.name]
+        if not rule.degree(marking.counts, marking):
             raise ModelDefinitionError(
                 f"transition {transition.name!r} is not enabled in {marking.compact()}"
             )
-        delta: dict[str, int] = {}
-        for arc in self._inputs[transition.name]:
-            delta[arc.place] = delta.get(arc.place, 0) - arc.multiplicity_in(marking)
-        for arc in self._outputs[transition.name]:
-            delta[arc.place] = delta.get(arc.place, 0) + arc.multiplicity_in(marking)
-        return marking.after(delta)
+        return Marking(marking.place_index, rule.successor(marking.counts, marking))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

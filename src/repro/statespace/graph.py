@@ -11,38 +11,32 @@ from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 
 
-@dataclass(frozen=True)
-class RawEdge:
-    """A single firing in the raw (pre-elimination) reachability graph."""
-
-    transition: str
-    target: int
-    kind: str  # "immediate" | "exponential" | "deterministic"
-    value: float  # weight (immediate), rate (exponential) or delay (deterministic)
-    degree: int = 1  # enabling degree of a timed firing (1 for immediate ones)
-
-
-@dataclass
+@dataclass(eq=False)
 class RawGraph:
     """Full reachability graph with tangible and vanishing markings.
 
-    ``edges[i]`` lists the firings out of marking ``i``.  For vanishing
-    markings only the highest-priority enabled immediate transitions are
-    listed (their ``value`` is the un-normalized weight); for tangible
-    markings all enabled timed transitions are listed.
+    Markings are numbered in breadth-first discovery order from the
+    initial marking.  Firings are rows of the ``edge_*`` arrays, grouped
+    by source in marking order (``edge_source`` is non-decreasing).  A
+    vanishing marking's edges are its highest-priority enabled immediate
+    transitions, valued by their un-normalized weights, with degree 1; a
+    tangible marking's edges are its enabled timed transitions, valued
+    by their effective rate or delay, with their enabling degree.
     """
 
     markings: list[Marking]
-    edges: list[list[RawEdge]]
-    vanishing: list[bool]
+    vanishing: np.ndarray  # bool per marking
     initial: int
+    edge_source: np.ndarray  # int64 source marking of each firing
+    edge_target: np.ndarray  # int64 successor marking of each firing
+    edge_transition: tuple[str, ...]  # transition name of each firing
+    edge_value: np.ndarray  # float64 weight, effective rate or delay
+    edge_degree: np.ndarray  # int64 enabling degree (1 for immediate firings)
+    edge_deterministic: np.ndarray  # bool: a deterministic firing
 
     @property
     def n_states(self) -> int:
         return len(self.markings)
-
-    def tangible_indices(self) -> list[int]:
-        return [i for i, is_vanishing in enumerate(self.vanishing) if not is_vanishing]
 
 
 @dataclass(frozen=True)
@@ -116,23 +110,21 @@ class TangibleStructure:
     def stamp(self, net: PetriNet) -> "TangibleGraph":
         """This structure with ``net``'s rates and delays on its edges.
 
-        Each exponential edge takes ``rate_in(marking, degree)`` of its
-        transition in ``net`` at its source marking, and each
-        deterministic edge the transition's ``delay``: the values
+        Each exponential edge takes the effective rate of its transition
+        in ``net`` at its source marking and degree, and each
+        deterministic edge the transition's delay, both from ``net``'s
+        compiled firing rules: the values
         :func:`~repro.statespace.reachability.explore` records, so the
         graph equals a cold exploration of ``net`` bit for bit.
         """
-        transitions = net.transitions
+        rules = net.compiled().rules
         markings = self.markings
         values = [
-            transitions[name].delay
-            if deterministic
-            else transitions[name].rate_in(markings[source], degree)
-            for name, source, degree, deterministic in zip(
+            rules[name].value(markings[source], degree)
+            for name, source, degree in zip(
                 self.edge_transition,
                 self.edge_source.tolist(),
                 self.edge_degree.tolist(),
-                self.edge_deterministic.tolist(),
             )
         ]
         return TangibleGraph(self, np.asarray(values, dtype=float))

@@ -14,6 +14,10 @@ Semantics implemented here:
   :meth:`ExponentialTransition.rate_in` (single- vs infinite-server) and
   the enabling degree it was computed from, so a structure can later be
   re-rated (:meth:`~repro.statespace.graph.TangibleStructure.stamp`).
+* Enabling, firing and edge values come from the net's compiled firing
+  rules (:meth:`PetriNet.compiled`); markings are interned by their
+  count tuples and edges recorded as rows of
+  :class:`~repro.statespace.graph.RawGraph`'s arrays.
 * Deterministic edges carry the fixed delay; conflict resolution between
   several deterministic transitions is left to the solver (the MRGP
   solver rejects markings enabling more than one).
@@ -21,18 +25,13 @@ Semantics implemented here:
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
 
 from repro.errors import StateSpaceError
 from repro.obs import counter, span
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
-from repro.petri.transition import (
-    DeterministicTransition,
-    ExponentialTransition,
-    ImmediateTransition,
-)
-from repro.statespace.graph import RawEdge, RawGraph
+from repro.statespace.graph import RawGraph
 
 
 def explore(net: PetriNet, *, max_states: int = 200_000) -> RawGraph:
@@ -56,101 +55,78 @@ def explore(net: PetriNet, *, max_states: int = 200_000) -> RawGraph:
     with span("statespace.explore", net=net.name) as sp:
         graph = _explore(net, max_states=max_states)
         counter("statespace.states_explored").inc(graph.n_states)
-        sp.set(states=graph.n_states, vanishing=sum(graph.vanishing))
+        sp.set(states=graph.n_states, vanishing=int(graph.vanishing.sum()))
     return graph
 
 
 def _explore(net: PetriNet, *, max_states: int) -> RawGraph:
-    """The untraced exploration loop behind :func:`explore`."""
+    """The untraced exploration loop behind :func:`explore`.
+
+    Markings are interned by their count tuples and processed in index
+    order, which is the breadth-first order; each firing is one row
+    ``(source, target, transition, value, degree, deterministic)``.
+    """
+    compiled = net.compiled()
+    levels, timed = compiled.levels, compiled.timed
+    place_index = net.place_index
     initial = net.initial_marking()
     markings: list[Marking] = [initial]
-    index: dict[Marking, int] = {initial: 0}
-    edges: list[list[RawEdge]] = []
+    index: dict[tuple[int, ...], int] = {initial.counts: 0}
     vanishing: list[bool] = []
+    edges: list[tuple] = []
 
-    queue: deque[int] = deque([0])
-    immediates = net.immediate_transitions()
-
-    while queue:
-        state = queue.popleft()
+    state = 0
+    while state < len(markings):
         marking = markings[state]
-
-        enabled_immediate = [
-            t for t in immediates if net.is_enabled(t, marking)
-        ]
-        state_edges: list[RawEdge] = []
-        if enabled_immediate:
-            top_priority = max(t.priority for t in enabled_immediate)
-            competing = [t for t in enabled_immediate if t.priority == top_priority]
-            vanishing.append(True)
-            for transition in competing:
-                successor = net.fire(transition, marking)
-                target = _intern(successor, markings, index, queue, max_states)
-                state_edges.append(
-                    RawEdge(
-                        transition=transition.name,
-                        target=target,
-                        kind="immediate",
-                        value=transition.weight_in(marking),
-                    )
-                )
-        else:
-            vanishing.append(False)
-            for transition in net.transitions.values():
-                if isinstance(transition, ImmediateTransition):
-                    continue
-                degree = net.enabling_degree(transition, marking)
-                if degree == 0:
-                    continue
-                successor = net.fire(transition, marking)
-                target = _intern(successor, markings, index, queue, max_states)
-                if isinstance(transition, ExponentialTransition):
-                    state_edges.append(
-                        RawEdge(
-                            transition=transition.name,
-                            target=target,
-                            kind="exponential",
-                            value=transition.rate_in(marking, degree),
-                            degree=degree,
-                        )
-                    )
-                elif isinstance(transition, DeterministicTransition):
-                    state_edges.append(
-                        RawEdge(
-                            transition=transition.name,
-                            target=target,
-                            kind="deterministic",
-                            value=transition.delay,
-                            degree=degree,
-                        )
-                    )
-                else:  # pragma: no cover - future transition kinds
+        counts = marking.counts
+        firings = None
+        for level in levels:
+            competing = [rule for rule in level if rule.degree(counts, marking)]
+            if competing:
+                firings = [(rule, 1) for rule in competing]
+                break
+        vanishing.append(firings is not None)
+        if firings is None:
+            firings = []
+            for rule in timed:
+                degree = rule.degree(counts, marking)
+                if degree:
+                    firings.append((rule, degree))
+        for rule, degree in firings:
+            successor = rule.successor(counts, marking)
+            target = index.get(successor)
+            if target is None:
+                target = len(markings)
+                if target >= max_states:
                     raise StateSpaceError(
-                        f"unsupported transition kind {transition.kind!r}"
+                        f"reachability exploration exceeded {max_states} markings; "
+                        "the net may be unbounded (raise max_states to override)"
                     )
-        edges.append(state_edges)
+                index[successor] = target
+                markings.append(Marking(place_index, successor))
+            edges.append(
+                (
+                    state,
+                    target,
+                    rule.name,
+                    rule.value(marking, degree),
+                    degree,
+                    rule.deterministic,
+                )
+            )
+        state += 1
 
-    return RawGraph(markings=markings, edges=edges, vanishing=vanishing, initial=0)
-
-
-def _intern(
-    marking: Marking,
-    markings: list[Marking],
-    index: dict[Marking, int],
-    queue: deque[int],
-    max_states: int,
-) -> int:
-    """Return the index of ``marking``, registering it if new."""
-    found = index.get(marking)
-    if found is not None:
-        return found
-    if len(markings) >= max_states:
-        raise StateSpaceError(
-            f"reachability exploration exceeded {max_states} markings; "
-            "the net may be unbounded (raise max_states to override)"
-        )
-    position = len(markings)
-    markings.append(marking)
-    index[marking] = position
-    queue.append(position)
-    return position
+    source, target, names, values, degrees, deterministic = (
+        zip(*edges) if edges else ((),) * 6
+    )
+    return RawGraph(
+        markings=markings,
+        vanishing=np.array(vanishing, dtype=bool),
+        initial=0,
+        edge_source=np.array(source, dtype=np.int64),
+        edge_target=np.array(target, dtype=np.int64),
+        edge_transition=names,
+        edge_value=np.array(values, dtype=float),
+        edge_degree=np.array(degrees, dtype=np.int64),
+        edge_deterministic=np.array(deterministic, dtype=bool),
+    )

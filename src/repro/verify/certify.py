@@ -293,7 +293,16 @@ def certify_expected_reward(
     """
     from repro.dspn.rewards import reward_vector
 
-    rewards = reward_vector(result.markings, reward)
+    return _reward_checks(
+        result, reward_vector(result.markings, reward), value, tolerance
+    )
+
+
+def _reward_checks(
+    result: "SteadyStateResult", rewards: np.ndarray, value: float, tolerance: float
+) -> tuple[CertificateCheck, ...]:
+    """:func:`certify_expected_reward` given the reward of each of
+    ``result``'s markings."""
     low, high = float(rewards.min()), float(rewards.max())
     out_of_bounds = max(0.0, low - value, value - high)
     recomputed = float(np.asarray(result.pi, dtype=float) @ rewards)

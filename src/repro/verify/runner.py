@@ -23,7 +23,7 @@ from repro.verify.certify import (
     DEFAULT_TOLERANCE,
     Certificate,
     CertificateCheck,
-    certify_expected_reward,
+    _reward_checks,
 )
 from repro.verify.lint import LintReport, lint_net
 from repro.verify.oracles import (
@@ -129,7 +129,17 @@ class VerificationReport:
 # ----------------------------------------------------------------------
 # per-target verification (runs inside SweepPlan workers)
 # ----------------------------------------------------------------------
+def _expected_reliability(solution, reliability) -> tuple["np.ndarray", float]:
+    """Eq. 1 over ``solution``'s markings: ``(rewards, E[R])``."""
+    from repro.perception.evaluation import reliability_rewards
+    from repro.perception.statemap import state_counts
+
+    rewards = reliability_rewards(state_counts(solution.markings), reliability)
+    return rewards, float(solution.pi @ rewards)
+
+
 def _reward_function(target: VerifyTarget):
+    """``target``'s Eq. 1 reward as a marking function, for the simulator."""
     from repro.perception.statemap import module_counts
 
     reliability = target.reliability()
@@ -152,11 +162,8 @@ def _verify_target(target: VerifyTarget, tolerance: float) -> TargetVerification
         solution = solve_steady_state(
             net, max_states=target.max_states, verify=tolerance
         )
-        reward = _reward_function(target)
-        expected = solution.expected_reward(reward)
-        reward_checks = certify_expected_reward(
-            solution, reward, expected, tolerance=tolerance
-        )
+        rewards, expected = _expected_reliability(solution, target.reliability())
+        reward_checks = _reward_checks(solution, rewards, expected, tolerance)
         assert solution.certificate is not None  # verify= attached it
         verification = TargetVerification(
             name=target.name,
@@ -241,11 +248,10 @@ def _paper_oracles_untraced(tolerance: float) -> tuple[OracleResult, ...]:
         solution = solve_steady_state(
             net, max_states=target.max_states, verify=tolerance
         )
-        reward = _reward_function(target)
-        expected = solution.expected_reward(reward)
+        _, expected = _expected_reliability(solution, target.reliability())
         verdict = sequential_agreement(
             net,
-            reward=reward,
+            reward=_reward_function(target),
             expected=expected,
             horizon=ORACLE_HORIZON,
             warmup=ORACLE_WARMUP,
@@ -266,7 +272,6 @@ def _paper_oracles_untraced(tolerance: float) -> tuple[OracleResult, ...]:
     # p and p' only enter Eq. 1 through the reliability function, so one
     # solution serves every grid point.
     from repro.perception.no_rejuvenation import build_no_rejuvenation_net
-    from repro.perception.statemap import module_counts
 
     four = PerceptionParameters.four_version_defaults()
     base_solution = solve_steady_state(
@@ -281,9 +286,7 @@ def _paper_oracles_untraced(tolerance: float) -> tuple[OracleResult, ...]:
             reliability = default_reliability_function(
                 four.replace(**{attribute: value})
             )
-            expected = base_solution.expected_reward(
-                lambda marking, fn=reliability: float(fn(*module_counts(marking)))
-            )
+            _, expected = _expected_reliability(base_solution, reliability)
             points.append((value, expected))
         results.append(monotone_degradation(points, label=label))
 
@@ -291,8 +294,8 @@ def _paper_oracles_untraced(tolerance: float) -> tuple[OracleResult, ...]:
     from repro.perception.statemap import ModuleCounts
 
     reliability = default_reliability_function(four)
-    original = base_solution.expected_reward(
-        _reward_function(paper_net_targets()[0])
+    _, original = _expected_reliability(
+        base_solution, paper_net_targets()[0].reliability()
     )
     relabeled_solution = solve_steady_state(
         _relabeled_four_version_net(four), verify=tolerance
@@ -316,8 +319,8 @@ def _paper_oracles_untraced(tolerance: float) -> tuple[OracleResult, ...]:
     six_solution = solve_steady_state(
         paper_net_targets()[2].build(), verify=tolerance
     )
-    rejuvenated = six_solution.expected_reward(
-        _reward_function(paper_net_targets()[2])
+    _, rejuvenated = _expected_reliability(
+        six_solution, paper_net_targets()[2].reliability()
     )
     results.append(
         threshold_consistency(

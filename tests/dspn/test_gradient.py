@@ -38,7 +38,7 @@ from repro.perception.evaluation import (
     reliability_rewards,
 )
 from repro.perception.parameters import PerceptionParameters
-from repro.perception.statemap import module_counts
+from repro.perception.statemap import state_counts
 from repro.statespace.graph import TangibleGraph
 
 TIME_PARAMETERS = tuple(TIME_TRANSITIONS)
@@ -131,8 +131,9 @@ def forward_derivative(solution, rewards, direction):
 
 
 def eq1_rewards(parameters, solution):
-    counts = [module_counts(marking) for marking in solution.markings]
-    return reliability_rewards(counts, default_reliability_function(parameters))[0]
+    return reliability_rewards(
+        state_counts(solution.markings), default_reliability_function(parameters)
+    )
 
 
 def time_direction(graph, name):

@@ -11,6 +11,7 @@ from repro.engine.cache import SolverCache, active_cache, cache_settings
 from repro.perception.evaluation import Evaluation
 from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
+from repro.petri import NetBuilder
 
 
 def _entry_files(directory):
@@ -169,6 +170,28 @@ class TestSolverRevision:
             assert cache.stats()["misses"] == 2
         assert value == stored
         assert set(stale) < set(_entry_files(tmp_path))
+
+    def test_entry_stored_before_the_capacity_fix_is_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        # revision 3 explored a test arc on a full capacitated place as
+        # disabled; its stored state space must not be served
+        builder = NetBuilder("peek")
+        builder.place("B", tokens=1, capacity=1)
+        builder.place("C", capacity=1)
+        builder.exponential(
+            "peek", rate=1.0, inputs={"B": 1}, outputs={"B": 1, "C": 1}
+        )
+        builder.exponential("drain", rate=1.0, inputs={"C": 1})
+        net = builder.build()
+        with monkeypatch.context() as patch:
+            patch.setattr(hashing, "SOLVER_REVISION", 3)
+            with cache_override(enabled=True, directory=tmp_path):
+                solve_steady_state(net)
+        with cache_override(enabled=True, directory=tmp_path) as cache:
+            result = solve_steady_state(net)
+            assert cache.stats()["disk_hits"] == 0
+        assert sorted(marking["C"] for marking in result.markings) == [0, 1]
 
 
 class TestProcessWidePolicy:

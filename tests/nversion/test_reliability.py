@@ -382,3 +382,21 @@ class TestTableWitness:
             r(4, 1, 0)
         with pytest.raises(ParameterError):
             r(7, -1, 0)
+
+    def test_values_gather_what_calls_return(self):
+        r = GeneralizedReliability(n_modules=6, threshold=4, p=P, p_prime=PP, alpha=A)
+        states = np.array(
+            [(i, j, 6 - i - j) for i in range(7) for j in range(7 - i)], dtype=np.int64
+        )
+        expected = [r(*state) for state in states.tolist()]
+        assert r.values(states).tolist() == expected
+        assert r.values(np.empty((0, 3), dtype=np.int64)).shape == (0,)
+
+    def test_values_validate_every_state_as_a_call_does(self):
+        r = GeneralizedReliability(n_modules=6, threshold=4, p=P, p_prime=PP, alpha=A)
+        for bad in ((4, 1, 0), (7, -1, 0)):
+            with pytest.raises(ParameterError) as from_call:
+                r(*bad)
+            with pytest.raises(ParameterError) as from_values:
+                r.values(np.array([(3, 2, 1), bad], dtype=np.int64))
+            assert str(from_values.value) == str(from_call.value)

@@ -53,3 +53,49 @@ class TestCapacityBoundedReachability:
         for n in range(6):
             measured = result.probability(lambda m, n=n: m["Queue"] == n)
             assert np.isclose(measured, rho**n / norm, rtol=1e-9)
+
+
+class TestCapacityCountsWhatTheFiringTakes:
+    """A firing that consumes and produces on a full place leaves it full."""
+
+    def _peek_net(self):
+        builder = NetBuilder("peek")
+        builder.place("B", tokens=1, capacity=1)
+        builder.place("C", capacity=1)
+        builder.exponential(
+            "peek", rate=1.0, inputs={"B": 1}, outputs={"B": 1, "C": 1}
+        )
+        builder.exponential("drain", rate=1.0, inputs={"C": 1})
+        return builder.build()
+
+    def test_test_arc_on_a_full_place_is_enabled(self):
+        net = self._peek_net()
+        marking = net.initial_marking()
+        assert net.enabling_degree(net.transitions["peek"], marking) == 1
+        after = net.fire(net.transitions["peek"], marking)
+        assert (after["B"], after["C"]) == (1, 1)
+
+    def test_net_growth_past_capacity_still_disables(self):
+        builder = NetBuilder("grow")
+        builder.place("B", tokens=1, capacity=1)
+        builder.exponential("grow", rate=1.0, inputs={"B": 1}, outputs={"B": 2})
+        net = builder.build()
+        assert not net.is_enabled(net.transitions["grow"], net.initial_marking())
+
+    def test_marking_dependent_test_arc_on_a_full_place_is_enabled(self):
+        builder = NetBuilder("peek-dynamic")
+        builder.place("B", tokens=2, capacity=2)
+        builder.place("C")
+        builder.exponential(
+            "peek",
+            rate=1.0,
+            inputs={"B": lambda m: m["B"]},
+            outputs={"B": lambda m: m["B"], "C": 1},
+        )
+        builder.exponential("drain", rate=1.0, inputs={"C": 1})
+        net = builder.build()
+        assert net.is_enabled(net.transitions["peek"], net.initial_marking())
+
+    def test_reachability_reaches_the_peeked_marking(self):
+        graph = tangible_reachability(self._peek_net())
+        assert sorted(m["C"] for m in graph.markings) == [0, 1]

@@ -1,5 +1,6 @@
 """Tests for reachability exploration and classification."""
 
+import numpy as np
 import pytest
 
 from repro.errors import StateSpaceError
@@ -11,13 +12,13 @@ class TestExplore:
     def test_two_state_net(self, two_state_net):
         graph = explore(two_state_net)
         assert graph.n_states == 2
-        assert graph.vanishing == [False, False]
+        assert graph.vanishing.tolist() == [False, False]
 
     def test_edges_carry_rates(self, two_state_net):
         graph = explore(two_state_net)
-        (edge,) = graph.edges[0]
-        assert edge.kind == "exponential"
-        assert edge.value == 0.01
+        (edge,) = np.flatnonzero(graph.edge_source == 0)
+        assert not graph.edge_deterministic[edge]
+        assert graph.edge_value[edge] == 0.01
 
     def test_vanishing_classification(self, immediate_chain_net):
         graph = explore(immediate_chain_net)
@@ -34,13 +35,13 @@ class TestExplore:
         builder.exponential("park2", rate=1.0, inputs={"C": 1}, outputs={"D": 1})
         net = builder.build()
         graph = explore(net)
-        initial_edges = graph.edges[0]
-        assert [e.transition for e in initial_edges] == ["high"]
+        initial_edges = np.flatnonzero(graph.edge_source == 0)
+        assert [graph.edge_transition[e] for e in initial_edges] == ["high"]
 
     def test_deterministic_edges(self, clocked_net):
         graph = explore(clocked_net)
-        kinds = {e.kind for edges in graph.edges for e in edges}
-        assert kinds == {"exponential", "deterministic"}
+        assert not graph.vanishing.any()
+        assert set(graph.edge_deterministic.tolist()) == {False, True}
 
     def test_max_states_bound(self):
         builder = NetBuilder("unbounded")
@@ -59,7 +60,7 @@ class TestExplore:
         net = builder.build()
         graph = explore(net)
         assert graph.n_states == 2
-        assert graph.edges[1] == []
+        assert 1 not in graph.edge_source
 
     def test_infinite_server_rate_in_edges(self):
         from repro.petri import ServerSemantics
@@ -75,8 +76,9 @@ class TestExplore:
         )
         net = builder.build()
         graph = explore(net)
-        initial_edge = graph.edges[0][0]
-        assert initial_edge.value == 3.0
+        initial_edge = np.flatnonzero(graph.edge_source == 0)[0]
+        assert graph.edge_value[initial_edge] == 3.0
+        assert graph.edge_degree[initial_edge] == 3
 
     def test_states_indexed_in_discovery_order(self, two_state_net):
         graph = explore(two_state_net)

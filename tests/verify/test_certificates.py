@@ -15,6 +15,7 @@ from repro.verify import (
     certify_expected_reward,
     certify_steady_state,
 )
+from repro.verify.certify import DEFAULT_TOLERANCE, _reward_checks
 
 
 def cycle_net(name="certify-cycle"):
@@ -174,6 +175,17 @@ class TestRewardCertificates:
         checks = certify_expected_reward(result, reward, 99.0)
         names = {check.name for check in checks if not check.passed}
         assert names == {"reward-bounds", "reward-recomputation"}
+
+    def test_reward_vector_path_matches_the_reward_function(self):
+        # verify's runner certifies the Eq. 1 vector it already holds
+        with cache_override(enabled=False):
+            result = solve_steady_state(cycle_net(), verify=True)
+        reward = lambda marking: float(marking["A"])
+        rewards = np.array([float(marking["A"]) for marking in result.markings])
+        for value in (result.expected_reward(reward), 99.0):
+            assert _reward_checks(
+                result, rewards, value, DEFAULT_TOLERANCE
+            ) == certify_expected_reward(result, reward, value)
 
 
 class TestCacheRefusal:
