@@ -369,20 +369,63 @@ def _command_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro simulate`` options that only the batch runtime reads, with
+#: their defaults (``None`` in the parser, so a given flag is seen).
+_BATCH_ONLY_DEFAULTS = {
+    "groups": 4096,
+    "request_period": 0.5,
+    "jobs": 1,
+    "chunk_size": 1024,
+    "monitor": None,
+    "stationary_init": False,
+    "watch": False,
+    "watch_target": None,
+    "watch_alpha": 1e-3,
+    "watch_block": 32,
+    "alerts": None,
+}
+
+#: The DSPN Monte-Carlo's replication count when none is given.
+_DEFAULT_REPLICATIONS = 8
+
+
 def _command_simulate(args: argparse.Namespace) -> int:
     if args.batch:
+        if args.replications is not None:
+            raise ParameterError(
+                "--replications applies to the DSPN Monte-Carlo; --batch "
+                "simulates --groups replica groups instead"
+            )
+        for name, default in _BATCH_ONLY_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         return _command_simulate_batch(args)
+    given = [
+        "--" + name.replace("_", "-")
+        for name in _BATCH_ONLY_DEFAULTS
+        if getattr(args, name) is not None and getattr(args, name) is not False
+    ]
+    if given:
+        raise ParameterError(
+            f"{', '.join(given)} would be ignored without --batch; "
+            "add --batch or drop them"
+        )
 
     from repro.perception.architecture import PerceptionSystem
 
     system = PerceptionSystem(_parameters_from(args))
-    analytic = system.expected_reliability()
-    estimate = system.simulate(
-        horizon=args.horizon,
-        warmup=args.warmup,
-        replications=args.replications,
-        seed=args.seed,
-    )
+    with _events_scope(args):
+        analytic = system.expected_reliability()
+        estimate = system.simulate(
+            horizon=args.horizon,
+            warmup=args.warmup,
+            replications=(
+                args.replications
+                if args.replications is not None
+                else _DEFAULT_REPLICATIONS
+            ),
+            seed=args.seed,
+        )
     low, high = estimate.interval
     print(f"analytic E[R]  = {analytic:.6f}")
     print(
@@ -926,7 +969,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="measured seconds after --warmup",
     )
     simulate.add_argument("--warmup", type=float, default=1000.0)
-    simulate.add_argument("--replications", type=int, default=8)
+    simulate.add_argument(
+        "--replications", type=int, default=None,
+        help=f"independent DSPN Monte-Carlo runs (default "
+        f"{_DEFAULT_REPLICATIONS}; not with --batch)",
+    )
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument(
         "--batch", action="store_true",
@@ -934,21 +981,24 @@ def build_parser() -> argparse.ArgumentParser:
         "round grid) instead of the DSPN Monte-Carlo",
     )
     simulate.add_argument(
-        "--groups", type=int, default=4096,
-        help="independent replica groups simulated by --batch",
+        "--groups", type=int, default=None,
+        help="independent replica groups simulated by --batch "
+        "(default 4096)",
     )
     simulate.add_argument(
-        "--request-period", type=float, default=0.5,
-        help="seconds between perception requests (--batch round grid)",
+        "--request-period", type=float, default=None,
+        help="seconds between perception requests (--batch round grid; "
+        "default 0.5)",
     )
     simulate.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for --batch (results are jobs-invariant)",
+        "--jobs", type=int, default=None,
+        help="worker processes for --batch (results are jobs-invariant; "
+        "default 1)",
     )
     simulate.add_argument(
-        "--chunk-size", type=int, default=1024,
+        "--chunk-size", type=int, default=None,
         help="groups per schedule chunk (--batch; part of the trajectory "
-        "identity, not a tuning knob)",
+        "identity, not a tuning knob; default 1024)",
     )
     simulate.add_argument(
         "--monitor", choices=["observe", "targeted", "threshold"],
@@ -971,12 +1021,12 @@ def build_parser() -> argparse.ArgumentParser:
         "value of the configuration)",
     )
     simulate.add_argument(
-        "--watch-alpha", type=float, default=1e-3, metavar="A",
+        "--watch-alpha", type=float, default=None, metavar="A",
         help="drift false-alarm budget: P(ever firing on a clean stream) "
         "<= A (default 1e-3)",
     )
     simulate.add_argument(
-        "--watch-block", type=int, default=32, metavar="K",
+        "--watch-block", type=int, default=None, metavar="K",
         help="rounds per detector window (default 32)",
     )
     simulate.add_argument(

@@ -61,11 +61,16 @@ class HealthMonitor:
         participated: np.ndarray,
         deviated: np.ndarray,
         errors: int,
+        *,
+        participants: "np.ndarray | None" = None,
+        deviations: "np.ndarray | None" = None,
     ) -> "np.ndarray | None":
         """Fold one vote round in; return a start mask in threshold mode.
 
-        Crossings compare each belief before the round's prediction with
-        the updated one.
+        ``participants`` and ``deviations`` are the per-group counts of
+        the two masks; a caller that keeps them passes them in, anyone
+        else leaves them to be counted here.  Crossings compare each
+        belief before the round's prediction with the updated one.
         """
         estimator = self.estimator
         threshold = self.config.detection_threshold
@@ -80,12 +85,16 @@ class HealthMonitor:
             self.crossings = self.metrics.record_crossings(
                 now, above & (before < threshold), was_above & (after < threshold)
             )
-        updates = int(np.count_nonzero(participated))
+        if participants is None:
+            participants = participated.sum(axis=1)
+        if deviations is None:
+            deviations = deviated.sum(axis=1)
+        updates = int(participants.sum())
         if updates:
             obs_counter("monitor.estimator.updates").inc(updates)
         # an empty round has no deviations: its fraction comes out 0/1
         obs_histogram("monitor.disagreement").observe_many(
-            deviated.sum(axis=1) / np.maximum(participated.sum(axis=1), 1)
+            deviations / np.maximum(participants, 1)
         )
         self.metrics.record_rounds(participated.shape[0], errors)
         if self.config.mode == "threshold":

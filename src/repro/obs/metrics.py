@@ -109,10 +109,11 @@ class Histogram:
         """Fold a whole array of observations in at vectorized cost.
 
         Merge-equivalent to calling :meth:`observe` once per element:
-        count, min, max, and every bucket count come out identical (the
-        bucket index is computed by the scalar :func:`_bucket_of` per
-        *unique* value, so boundary rounding matches the scalar path
-        bit for bit); only ``total`` may differ by float-summation
+        count, min, max, and every bucket count come out identical
+        (non-positive values go straight to the underflow bucket, and
+        the scalar :func:`_bucket_of` indexes each *unique* positive
+        value, so boundary rounding matches the scalar path bit for
+        bit); only ``total`` may differ by float-summation
         order, the same caveat :meth:`MetricsRegistry.merge` carries.
         Arrays of up to :data:`_SCALAR_FOLD` values go through
         :meth:`observe` one by one, which is cheaper at that size.
@@ -134,7 +135,12 @@ class Histogram:
             self.min = low
         if high > self.max:
             self.max = high
-        unique, counts = numpy.unique(array, return_counts=True)
+        positive = array[array > 0.0]
+        if positive.size < array.size:
+            self.buckets[_UNDERFLOW_BUCKET] = self.buckets.get(
+                _UNDERFLOW_BUCKET, 0
+            ) + int(array.size - positive.size)
+        unique, counts = numpy.unique(positive, return_counts=True)
         for value, count in zip(unique.tolist(), counts.tolist()):
             index = _bucket_of(value)
             self.buckets[index] = self.buckets.get(index, 0) + int(count)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -101,6 +102,36 @@ class TestHistogram:
         with pytest.raises(ValueError, match="finite"):
             h.observe_many([1.0] * 20 + [value])
         assert (h.count, h.total, h.min, h.max, dict(h.buckets)) == before
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_observe_many_matches_an_observe_loop(self, seed):
+        """Zeros, negatives, subnormals and the 2**-40 underflow edge
+        land in the same buckets as one ``observe`` per value."""
+        edge = 2.0**-40
+        special = [
+            0.0, -0.0, -1.5, -5e-324, 5e-324, 2.2e-308, edge,
+            np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 0.25, 3.0,
+        ]
+        rng = np.random.default_rng(seed)
+        values = rng.choice(special + list(rng.random(5)), size=64)
+        values[rng.random(64) < 0.5] = 0.0
+        batch = MetricsRegistry().histogram("h")
+        batch.observe_many(values)
+        loop = MetricsRegistry().histogram("h")
+        for value in values.tolist():
+            loop.observe(value)
+        assert (batch.count, batch.min, batch.max, batch.buckets) == (
+            loop.count, loop.min, loop.max, loop.buckets
+        )
+        assert batch.total == float(values.sum())
+        assert batch.total == pytest.approx(loop.total, abs=1e-12)
+
+    def test_observe_many_of_only_non_positive_values(self):
+        h = MetricsRegistry().histogram("h")
+        h.observe_many(np.zeros(20))
+        h.observe_many(-np.ones(20))
+        assert h.buckets == {-41: 40}  # the underflow bucket
+        assert (h.count, h.min, h.max, h.total) == (40, -1.0, 0.0, -20.0)
 
     def test_quantiles_survive_merge(self):
         """Serial and merged-parallel histograms answer identically."""

@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.monitor.core import HealthMonitor
 from repro.obs.events import event_stream
 from repro.obs.metrics import registry_override
 from repro.simulation import (
+    AttackCampaign,
     BatchConfig,
     BatchMonitorConfig,
     simulate_batch,
 )
 from repro.simulation.batch import SeedSchedule, stationary_census_table
+from repro.simulation.batch.runtime import recount_states
 
 
 def _config(parameters, **overrides) -> BatchConfig:
@@ -59,6 +62,23 @@ class TestValidation:
     def test_seed_schedule_rejects_negative_seed(self):
         with pytest.raises(SimulationError, match="seed"):
             SeedSchedule(-1, 4)
+
+
+class TestSeedSchedule:
+    @pytest.mark.parametrize("groups,modules", [(1, 4), (17, 6), (5, 9)])
+    def test_round_block_is_one_draw_per_field_in_field_order(
+        self, groups, modules
+    ):
+        """The block is the generator's stream, one draw per field in
+        field order."""
+        draws = SeedSchedule(7, modules).round_draws(2, 11, groups)
+        rng = np.random.default_rng([7, 2, 11])
+        for field in dataclasses.fields(draws):
+            array = getattr(draws, field.name)
+            np.testing.assert_array_equal(array, rng.random(array.shape))
+        assert draws.u_done.shape == (groups, modules)
+        assert draws.u_channel.shape == (groups, 3)
+        assert draws.u_truth.shape == (groups,)
 
 
 class TestDeterminism:
@@ -128,6 +148,54 @@ class TestAccounting:
         n = six_version_parameters.n_modules
         for (healthy, compromised, unavailable), _ in table:
             assert healthy + compromised + unavailable == n
+
+
+class TestKeptCounts:
+    """The runtime keeps per-group state counts instead of recounting
+    ``state``; every monitored round hands them to the monitor beside
+    the masks they count."""
+
+    def test_state_counts_recounts_every_state_code(self):
+        state = np.array([[0, 1, 1, 3], [2, 2, 0, 0]], dtype=np.int8)
+        counts = recount_states(state)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, [[1, 2], [2, 0], [0, 2], [1, 0]])
+
+    @pytest.mark.parametrize("mode", ["observe", "threshold", "targeted"])
+    def test_counts_equal_a_recount_every_round(
+        self, six_version_parameters, monkeypatch, mode
+    ):
+        observed = []
+        observe_round = HealthMonitor.observe_round
+
+        def recounting(self, now, participated, deviated, errors, **counts):
+            np.testing.assert_array_equal(
+                counts["participants"], np.count_nonzero(participated, axis=1)
+            )
+            np.testing.assert_array_equal(
+                counts["deviations"], np.count_nonzero(deviated, axis=1)
+            )
+            observed.append(now)
+            return observe_round(
+                self, now, participated, deviated, errors, **counts
+            )
+
+        monkeypatch.setattr(HealthMonitor, "observe_round", recounting)
+        config = _config(
+            six_version_parameters,
+            groups=64,
+            rounds=600,
+            chunk_size=64,
+            campaign=AttackCampaign.periodic(
+                period=400.0, burst_duration=100.0, intensity=8.0,
+                horizon=1200.0,
+            ),
+            monitor=BatchMonitorConfig(mode=mode),
+        ).with_stationary_init()
+        with registry_override():
+            report = simulate_batch(config)
+        assert len(observed) == config.rounds
+        assert report.transitions["rejuvenation-start"].sum() > 0
 
 
 class TestLifecycleEvents:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -101,6 +103,53 @@ class TestSimulate:
         output = capsys.readouterr().out
         assert "analytic E[R]" in output
         assert "simulated E[R]" in output
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (
+                ["--monitor", "targeted", "--groups", "7", "--jobs", "3"],
+                "--groups, --jobs, --monitor",
+            ),
+            (["--jobs", "0"], "--jobs"),
+            (["--stationary-init", "--watch-block", "8"], "--stationary-init, --watch-block"),
+            (["--alerts", "alerts.jsonl"], "--alerts"),
+        ],
+    )
+    def test_batch_only_flags_need_batch(self, capsys, flags, named):
+        assert main(["simulate", "--four", "--horizon", "100", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {named} would be ignored without --batch; "
+            "add --batch or drop them\n"
+        )
+
+    def test_batch_rejects_replications(self, capsys):
+        assert main(
+            [
+                "simulate", "--batch", "--four", "--groups", "8",
+                "--horizon", "100", "--replications", "99",
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --replications applies to the DSPN")
+
+    def test_monte_carlo_writes_the_events_file(self, capsys, tmp_path):
+        events = tmp_path / "events.jsonl"
+        assert main(
+            [
+                "simulate", "--four",
+                "--horizon", "2000", "--warmup", "100",
+                "--replications", "2", "--seed", "3",
+                "--events", str(events),
+            ]
+        ) == 0
+        # the stream is opened even when nothing is emitted (the engine
+        # cache may already hold the model, so no cache.miss comes)
+        lines = events.read_text(encoding="utf-8").splitlines()
+        assert all(json.loads(line)["event"] for line in lines)
 
     def test_batch_horizon_is_measured_after_warmup(self, capsys):
         assert main(
